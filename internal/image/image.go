@@ -86,12 +86,15 @@ func (p *Plane) SetInterior(data []byte) {
 }
 
 // FillPattern fills the interior with a deterministic pseudo-random pattern
-// derived from seed and replicates edge pixels into the padding.
+// derived from seed and replicates edge pixels into the padding.  Samples
+// are drawn in row-major order, so the interior depends only on the seed
+// and the extents, never on the padding.
 func (p *Plane) FillPattern(seed uint64) {
 	r := rng(seed)
 	for y := 0; y < p.Height; y++ {
-		for x := 0; x < p.Width; x++ {
-			p.Set(x, y, byte(r.next()))
+		row := p.Pix[p.Index(0, y):][:p.Width]
+		for x := range row {
+			row[x] = byte(r.next())
 		}
 	}
 	p.PadEdges()
@@ -99,23 +102,27 @@ func (p *Plane) FillPattern(seed uint64) {
 
 // PadEdges replicates the nearest interior pixel into the padding region
 // (clamp-to-edge), the boundary handling the Photoshop-like host uses.
+// Only the border is written: each interior row's left and right margins
+// take its edge pixels, then the first and last padded rows are copied
+// into the top and bottom margins, corners included.
 func (p *Plane) PadEdges() {
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
+	if p.Pad == 0 {
+		return
 	}
-	for y := -p.Pad; y < p.Height+p.Pad; y++ {
-		for x := -p.Pad; x < p.Width+p.Pad; x++ {
-			if x >= 0 && x < p.Width && y >= 0 && y < p.Height {
-				continue
-			}
-			p.Set(x, y, p.At(clamp(x, 0, p.Width-1), clamp(y, 0, p.Height-1)))
+	for y := 0; y < p.Height; y++ {
+		row := p.Pix[p.Index(-p.Pad, y):][:p.Width+2*p.Pad]
+		left, right := row[:p.Pad], row[p.Pad+p.Width:]
+		for i := range left {
+			left[i] = row[p.Pad]
+			right[i] = row[p.Pad+p.Width-1]
 		}
+	}
+	span := p.Width + 2*p.Pad
+	top := p.Pix[p.Index(-p.Pad, 0):][:span]
+	bottom := p.Pix[p.Index(-p.Pad, p.Height-1):][:span]
+	for i := 1; i <= p.Pad; i++ {
+		copy(p.Pix[p.Index(-p.Pad, -i):], top)
+		copy(p.Pix[p.Index(-p.Pad, p.Height-1+i):], bottom)
 	}
 }
 
@@ -253,14 +260,14 @@ func (im *Interleaved) Flat() (pix []byte, base, stride, pixStep int) {
 // Set stores channel c of pixel (x, y).
 func (im *Interleaved) Set(x, y, c int, v byte) { im.Pix[im.Index(x, y, c)] = v }
 
-// FillPattern fills the image with a deterministic pseudo-random pattern.
+// FillPattern fills the image with a deterministic pseudo-random pattern,
+// drawing samples in row-major order (pixel by pixel, channel by channel).
 func (im *Interleaved) FillPattern(seed uint64) {
 	r := rng(seed)
 	for y := 0; y < im.Height; y++ {
-		for x := 0; x < im.Width; x++ {
-			for c := 0; c < im.Channels; c++ {
-				im.Set(x, y, c, byte(r.next()))
-			}
+		row := im.Pix[y*im.Stride:][:im.Width*im.Channels]
+		for i := range row {
+			row[i] = byte(r.next())
 		}
 	}
 }

@@ -159,3 +159,62 @@ func TestFillPatternDeterministic(t *testing.T) {
 		t.Error("DiffCount reports no differing pixels for different seeds")
 	}
 }
+
+// naivePadEdges is the clamp-to-edge definition PadEdges must match: every
+// padding pixel takes the value of the nearest interior pixel.
+func naivePadEdges(p *Plane) {
+	clamp := func(v, hi int) int { return min(max(v, 0), hi) }
+	for y := -p.Pad; y < p.Height+p.Pad; y++ {
+		for x := -p.Pad; x < p.Width+p.Pad; x++ {
+			if x >= 0 && x < p.Width && y >= 0 && y < p.Height {
+				continue
+			}
+			p.Set(x, y, p.At(clamp(x, p.Width-1), clamp(y, p.Height-1)))
+		}
+	}
+}
+
+// TestPadEdgesMatchesNaiveClamp checks the border-only PadEdges against
+// the per-pixel clamp definition over every small geometry.  The backing
+// starts as junk, so the comparison of the whole Pix also proves nothing
+// outside the padding (interior, alignment slack) is touched.
+func TestPadEdgesMatchesNaiveClamp(t *testing.T) {
+	r := rng(99)
+	for pad := 0; pad <= 3; pad++ {
+		for w := 1; w <= 17; w++ {
+			for h := 1; h <= 17; h++ {
+				p := NewPlane(w, h, pad)
+				for i := range p.Pix {
+					p.Pix[i] = byte(r.next())
+				}
+				want := p.Clone()
+				naivePadEdges(want)
+				p.PadEdges()
+				if !bytes.Equal(p.Pix, want.Pix) {
+					t.Fatalf("%dx%d pad %d: PadEdges differs from the naive clamp", w, h, pad)
+				}
+			}
+		}
+	}
+}
+
+// TestFillPatternIndependentOfLayout pins the sample stream every corpus
+// input shares: a plane's interior is the same for every padding, and
+// equals a one-channel interleaved image filled from the same seed.
+func TestFillPatternIndependentOfLayout(t *testing.T) {
+	im := NewInterleaved(19, 7, 1)
+	im.FillPattern(3)
+	want := im.Interior()
+	for pad := 0; pad <= 3; pad++ {
+		p := NewPlane(19, 7, pad)
+		p.FillPattern(3)
+		if !bytes.Equal(p.Interior(), want) {
+			t.Errorf("pad %d: interior differs from the interleaved stream", pad)
+		}
+		q := p.Clone()
+		naivePadEdges(q)
+		if !bytes.Equal(p.Pix, q.Pix) {
+			t.Errorf("pad %d: FillPattern padding is not the clamp of its interior", pad)
+		}
+	}
+}

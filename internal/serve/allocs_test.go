@@ -110,3 +110,50 @@ func TestZeroAllocWithObservability(t *testing.T) {
 		t.Fatalf("instrumented steady-state request allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestZeroAllocPatternMode is the pattern-mode companion of the gate: a
+// GET-style request (no client pixels) fills the pooled backing straight
+// from its seed, so it too allocates nothing in steady state — no legacy
+// instance, no reference computation, no input copy.  It covers a padded
+// planar stencil, an interleaved kernel and a reduction-consuming chain.
+func TestZeroAllocPatternMode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool reuse")
+	}
+	faultpoint.Reset()
+	s := New(Options{Workers: 1})
+	s.Start()
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+
+	for _, kernel := range []string{"boxblur3", "sharpen", "histeq"} {
+		if _, err := s.InputSpec(kernel, 40, 24); err != nil {
+			t.Fatalf("%s: %v", kernel, err)
+		}
+		req := request{w: 40, h: 24, seed: 5}
+		var status int
+		var backend string
+		emit := func(r *result) { status, backend = r.status, r.backend }
+
+		ctx := context.Background()
+		for i := 0; i < 50; i++ {
+			s.do(ctx, kernel, &req, emit)
+			if status != 200 {
+				t.Fatalf("%s: warmup request %d: status %d", kernel, i, status)
+			}
+		}
+		if backend != "generated" {
+			t.Fatalf("%s: steady state serves via %q, want generated", kernel, backend)
+		}
+
+		runtime.GC()
+		allocs := testing.AllocsPerRun(200, func() {
+			s.do(ctx, kernel, &req, emit)
+		})
+		if status != 200 {
+			t.Fatalf("%s: measured request finished with status %d", kernel, status)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: steady-state pattern request allocates %.1f objects, want 0", kernel, allocs)
+		}
+	}
+}

@@ -37,8 +37,6 @@ type request struct {
 	seed   uint64 // deterministic pattern seed, pattern mode only
 	pixels []byte // client input interior; nil selects pattern mode
 	trace  uint64 // trace id; do generates one when the caller left it 0
-
-	inst *legacy.Instance // pattern-mode instance, built during execute
 }
 
 // result is one request's outcome.  body aliases the request's scratch
@@ -94,12 +92,6 @@ func (e *entry) execute(ctx context.Context, rs *reqScratch, req *request) (res 
 	}
 
 	pattern := req.pixels == nil
-	if pattern {
-		// The instance is the authoritative pattern input — and the vm
-		// terminal backend's executable form.
-		req.inst = e.kern.Instantiate(legacy.Config{Width: req.w, Height: req.h, Seed: req.seed})
-	}
-
 	chain := e.chain
 	srcErr := e.srcErr
 	if srcErr == nil {
@@ -247,18 +239,22 @@ func (e *entry) evalBackend(be backendID, rs *reqScratch, req *request, outW, ou
 	case beInterp:
 		return e.res.EvalIRAt(rs.src, outW, outH)
 	case beVM:
-		full, err := req.inst.RunVMBounded(e.reg.opts.MaxVMSteps)
+		// The legacy instance is the vm rung's executable form; building it
+		// assembles the binary and computes its reference output, so only a
+		// request that reaches this rung pays for it.
+		inst := e.kern.Instantiate(legacy.Config{Width: req.w, Height: req.h, Seed: req.seed})
+		full, err := inst.RunVMBounded(e.reg.opts.MaxVMSteps)
 		if err != nil {
 			return nil, fmt.Errorf("vm re-emulation: %w", err)
 		}
-		return e.vmWindow(full, req, outW, outH)
+		return e.vmWindow(full, inst, outW, outH)
 	}
 	return nil, fmt.Errorf("unknown backend %d", be)
 }
 
 // vmWindow extracts the lifted output window from the re-emulated
 // binary's full output interior.
-func (e *entry) vmWindow(full []byte, req *request, outW, outH int) ([]byte, error) {
+func (e *entry) vmWindow(full []byte, inst *legacy.Instance, outW, outH int) ([]byte, error) {
 	if e.isRed {
 		if len(full) != e.bins*4 {
 			return nil, fmt.Errorf("vm output is %d bytes, want a %d-bin table", len(full), e.bins)
@@ -266,7 +262,7 @@ func (e *entry) vmWindow(full []byte, req *request, outW, outH int) ([]byte, err
 		return full, nil
 	}
 	c := e.channels
-	fw, fh := req.inst.RefDims()
+	fw, fh := inst.RefDims()
 	if len(full) != fw*fh*c || e.vmOX+outW > fw || e.vmOY+outH > fh {
 		return nil, fmt.Errorf("vm output window (%d,%d)+%dx%d does not fit the %dx%dx%d interior",
 			e.vmOX, e.vmOY, outW, outH, fw, fh, c)
@@ -282,29 +278,35 @@ func (e *entry) vmWindow(full []byte, req *request, outW, outH int) ([]byte, err
 // buildInput rebuilds the request's input interior into the entry's
 // native pixel layout: a clamp-padded plane for planar kernels (the
 // padding covers the whole stencil footprint, matching the legacy
-// layout's own edge clamp) or an interleaved backing.  Buffers live in
-// the pooled scratch; a stable request geometry reuses them with zero
-// allocations.
+// layout's own edge clamp) or an interleaved backing.  A pattern-mode
+// request fills the backing straight from its seed with the same
+// FillPattern every corpus kernel's Instantiate draws its input from;
+// client pixels are copied in.  Buffers live in the pooled scratch; a
+// stable request geometry reuses them with zero allocations.
 func (e *entry) buildInput(rs *reqScratch, req *request) error {
 	iw, ih := req.w+e.dInW, req.h+e.dInH
 	if iw < 1 || ih < 1 {
 		return fmt.Errorf("input interior %dx%d is empty", iw, ih)
 	}
-	data := req.pixels
-	if data == nil {
-		data = req.inst.InputInterior
-	}
-	want := iw * ih * e.channels
-	if len(data) != want {
-		return fmt.Errorf("input is %d bytes, want %d (%dx%dx%d interior)", len(data), want, iw, ih, e.channels)
+	pattern := req.pixels == nil
+	if pattern {
+		if iw != req.w || ih != req.h {
+			return fmt.Errorf("pattern input is %dx%d, want the %dx%d interior", req.w, req.h, iw, ih)
+		}
+	} else if want := iw * ih * e.channels; len(req.pixels) != want {
+		return fmt.Errorf("input is %d bytes, want %d (%dx%dx%d interior)", len(req.pixels), want, iw, ih, e.channels)
 	}
 	if !e.interleaved {
 		if rs.plane == nil || rs.plane.Width != iw || rs.plane.Height != ih || rs.plane.Pad != e.pad {
 			rs.plane = image.NewPlane(iw, ih, e.pad)
 			rs.src = ir.PlaneSource{P: rs.plane}
 		}
-		rs.plane.SetInterior(data)
-		rs.plane.PadEdges()
+		if pattern {
+			rs.plane.FillPattern(req.seed)
+		} else {
+			rs.plane.SetInterior(req.pixels)
+			rs.plane.PadEdges()
+		}
 		pix, base, stride := rs.plane.Flat()
 		rs.img = liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}
 		return nil
@@ -313,9 +315,13 @@ func (e *entry) buildInput(rs *reqScratch, req *request) error {
 		rs.inter = image.NewInterleaved(iw, ih, e.channels)
 		rs.src = ir.InterleavedSource{Im: rs.inter}
 	}
-	rowBytes := iw * e.channels
-	for y := 0; y < ih; y++ {
-		copy(rs.inter.Pix[y*rs.inter.Stride:], data[y*rowBytes:(y+1)*rowBytes])
+	if pattern {
+		rs.inter.FillPattern(req.seed)
+	} else {
+		rowBytes := iw * e.channels
+		for y := 0; y < ih; y++ {
+			copy(rs.inter.Pix[y*rs.inter.Stride:], req.pixels[y*rowBytes:(y+1)*rowBytes])
+		}
 	}
 	pix, base, stride, pixStep := rs.inter.Flat()
 	rs.img = liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"helium/internal/faultpoint"
-	"helium/internal/legacy"
 	"helium/internal/obs"
 	"helium/internal/schedule"
 )
@@ -318,14 +318,8 @@ func (s *Server) Reference(kernel string, w, h int, seed uint64) ([]byte, error)
 	if !e.vmOK {
 		return nil, fmt.Errorf("kernel %q has no vm reference window", kernel)
 	}
-	req := &request{w: w, h: h, seed: seed}
-	req.inst = e.kern.Instantiate(legacy.Config{Width: w, Height: h, Seed: seed})
 	outW, outH := e.outDims(w, h)
-	full, err := req.inst.RunVMBounded(s.opts.MaxVMSteps)
-	if err != nil {
-		return nil, err
-	}
-	return e.vmWindow(full, req, outW, outH)
+	return e.evalBackend(beVM, nil, &request{w: w, h: h, seed: seed}, outW, outH)
 }
 
 // job is one queued request.  Ownership is a three-state handshake:
@@ -560,12 +554,36 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		// Generous fixed bound: dimensions are already capped, and the
 		// exact per-kernel length is enforced after the entry is lifted.
 		maxBody := int64(s.opts.MaxWidth+16)*int64(s.opts.MaxHeight+16)*4 + 1
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
+		if r.ContentLength > maxBody {
+			// Refused unread: the connection cannot be reused, and closing
+			// it stops net/http from draining the body after the reply.
+			w.Header().Set("Connection", "close")
 			fail(http.StatusRequestEntityTooLarge, "request body exceeds the input size limit", kernel, width, height)
 			return
 		}
-		pixels = body
+		if r.ContentLength > 0 {
+			// A declared length is read into one exact-size buffer.
+			pixels = make([]byte, r.ContentLength)
+			if n, err := io.ReadFull(r.Body, pixels); err != nil {
+				fail(http.StatusBadRequest,
+					fmt.Sprintf("request body ended after %d of its declared %d bytes", n, r.ContentLength),
+					kernel, width, height)
+				return
+			}
+		} else {
+			// Chunked: the length is unknown until the body ends.
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				fail(http.StatusRequestEntityTooLarge, "request body exceeds the input size limit", kernel, width, height)
+				return
+			}
+			if err != nil {
+				fail(http.StatusBadRequest, "reading the request body: "+err.Error(), kernel, width, height)
+				return
+			}
+			pixels = body
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -247,6 +248,106 @@ func TestHTTPValidation(t *testing.T) {
 	r := eval(t, ts, "brighten", 40, 24, 1, make([]byte, want+3))
 	if r.status != 400 {
 		t.Errorf("wrong-length body: status %d, want 400 (%v)", r.status, r.errJSON)
+	}
+}
+
+// TestBodyLengthContract pins how a POST body's length is policed: a
+// body shorter than its declared Content-Length is a 400 naming both
+// lengths, a declared length above the limit is a 413 answered before
+// any body byte is read, and a chunked body (length unknown up front)
+// stays bounded by the same limit, is a 400 when cut short, and serves
+// when whole and within the limit.
+func TestBodyLengthContract(t *testing.T) {
+	s := New(Options{MaxWidth: 64, MaxHeight: 64})
+	s.Start()
+	s.MarkReady()
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	const path = "/v1/eval?kernel=brighten&width=40&height=24"
+	maxBody := (64+16)*(64+16)*4 + 1
+
+	// raw sends a hand-written request head (with one framing header)
+	// plus body over its own connection, optionally half-closes it, and
+	// reads the response.
+	raw := func(framing string, body []byte, halfClose bool) (*http.Response, map[string]string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: helium\r\nContent-Type: application/octet-stream\r\n%s\r\n\r\n", path, framing)
+		conn.Write(body)
+		if halfClose {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s, %d bytes sent: reading response: %v", framing, len(body), err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
+			t.Fatalf("%s: body is not the typed JSON error (%v)", framing, err)
+		}
+		return resp, e
+	}
+
+	resp, e := raw("Content-Length: 960", make([]byte, 100), true)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("short body: status %d, want 400 (%s)", resp.StatusCode, e["error"])
+	}
+	if !strings.Contains(e["error"], "100") || !strings.Contains(e["error"], "960") {
+		t.Errorf("short body: error %q does not name the received 100 and declared 960 bytes", e["error"])
+	}
+
+	// No body byte follows the head and the connection stays open: a
+	// handler that tried to read the body would block until the deadline
+	// instead of answering.
+	resp, e = raw(fmt.Sprintf("Content-Length: %d", maxBody+1), nil, false)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized Content-Length: status %d, want 413 (%s)", resp.StatusCode, e["error"])
+	}
+
+	// A chunk announcing 0x64 bytes carries 10 before the client stops.
+	resp, e = raw("Transfer-Encoding: chunked", append([]byte("64\r\n"), make([]byte, 10)...), true)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("truncated chunked body: status %d, want 400 (%s)", resp.StatusCode, e["error"])
+	}
+
+	// chunked POSTs a body whose length the client does not declare.
+	chunked := func(body []byte) evalResp {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, io.MultiReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return evalResp{status: resp.StatusCode, body: out, backend: resp.Header.Get("X-Helium-Backend")}
+	}
+	if r := chunked(make([]byte, maxBody+1)); r.status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized chunked body: status %d, want 413 (%s)", r.status, r.body)
+	}
+	// The path's default seed is 1: a server that dropped the chunked body
+	// and fell back to pattern mode would answer different bytes.
+	pixels := patternPixels(t, "brighten", 40, 24, 9)
+	r := chunked(pixels)
+	if r.status != http.StatusOK {
+		t.Fatalf("chunked body within the limit: status %d (%s)", r.status, r.body)
+	}
+	want, err := s.Reference("brighten", 40, 24, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.body, want) {
+		t.Error("chunked body: served bytes differ from the binary's own output")
 	}
 }
 
