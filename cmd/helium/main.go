@@ -43,10 +43,11 @@
 // winners to schedules.json; -smoke runs a tiny grid and asserts the
 // artifact round-trips, for CI.
 //
-// The gen subcommand regenerates the internal/liftedkernels package from
+// The gen subcommand regenerates internal/liftedkernels/kernels.go from
 // the corpus (true ahead-of-time codegen), embedding the tuned schedules
-// as the generated kernels' defaults; -check verifies the checked-in
-// package is up to date instead of writing, for CI.
+// as the generated kernels' defaults; the package's runtime.go is
+// hand-written and gen leaves it alone.  -check verifies the checked-in
+// kernels.go is up to date instead of writing, for CI.
 //
 // The exit status is nonzero if anything fails to lift, verify, tune or
 // regenerate cleanly.
@@ -498,9 +499,9 @@ func runGen(args []string) error {
 }
 
 // GenerateCorpusPackage lifts every corpus kernel at the given config and
-// renders the liftedkernels package sources: file name -> content.  The
-// tuned schedule set (nil = none) is embedded as each kernel's default
-// schedule.
+// renders the generated half of the liftedkernels package: file name ->
+// content (kernels.go only; runtime.go is hand-written).  The tuned
+// schedule set (nil = none) is embedded as each kernel's default schedule.
 func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (map[string]string, error) {
 	var units []ir.GenKernel
 	for _, k := range legacy.Kernels() {
@@ -527,10 +528,7 @@ func GenerateCorpusPackage(cfg legacy.Config, scheds *schedule.Set) (map[string]
 	if err != nil {
 		return nil, err
 	}
-	return map[string]string{
-		"runtime.go": ir.GenerateRuntime("liftedkernels"),
-		"kernels.go": src,
-	}, nil
+	return map[string]string{"kernels.go": src}, nil
 }
 
 // benchEntry is one kernel's timing row in the JSON report.
@@ -704,6 +702,7 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 		}
 
 		m := vm.NewMachine(inst.Prog)
+		tiled := &schedule.Schedule{Workers: max(workers, 0)}
 		runs := map[string]func() error{
 			"vm": func() error {
 				inst.Setup(m, true)
@@ -718,7 +717,7 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 				return err
 			},
 			"compiled-tiled": func() error {
-				_, err := ck.EvalParallelAt(src, outW, outH, workers)
+				_, err := ck.EvalScheduledAt(src, outW, outH, tiled)
 				return err
 			},
 			"scheduled": func() error {
@@ -771,8 +770,9 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 			rows := map[string]map[string]float64{}
 			for _, w := range sweep {
 				row := map[string]float64{}
+				tsc := &schedule.Schedule{Workers: w}
 				ns, err := timeIt(func() error {
-					_, err := ck.EvalParallelAt(src, outW, outH, w)
+					_, err := ck.EvalScheduledAt(src, outW, outH, tsc)
 					return err
 				})
 				if err != nil {

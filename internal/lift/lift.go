@@ -647,6 +647,9 @@ func (r *Result) EvalDims() (int, int) { return finalDims(r.finalStage()) }
 func (r *Result) chain(src ir.Source, outW, outH int,
 	run func(i int, k *ir.Kernel, src ir.Source) ([]byte, error),
 	each func(i int, out []byte) error) ([]byte, error) {
+	if err := r.checkExtents(outW, outH); err != nil {
+		return nil, err
+	}
 	final := r.finalStage()
 	var out []byte
 	var err error
@@ -682,6 +685,18 @@ func (r *Result) chain(src ir.Source, outW, outH int,
 		}
 	}
 	return out, nil
+}
+
+// checkExtents rejects a final render at (outW, outH) that leaves any
+// stage an empty region: every stage extent must be at least 1.
+func (r *Result) checkExtents(outW, outH int) error {
+	final := r.finalStage()
+	for i := range r.Stages {
+		if w, h := stageDims(&r.Stages[i], final, outW, outH); w < 1 || h < 1 {
+			return fmt.Errorf("lift: stage %d extent %dx%d is empty", i, w, h)
+		}
+	}
+	return nil
 }
 
 // EvalIR evaluates the lifted pipeline with the tree-walking interpreter
@@ -769,41 +784,15 @@ func (c *CompiledResult) Workers(requested int) int {
 	return workers
 }
 
-// evalAt runs the compiled chain against src at (outW, outH); parallel
-// selects the cache-blocked tiled driver for the stencil stages.
-func (c *CompiledResult) evalAt(src ir.Source, outW, outH int, parallel bool, workers int) ([]byte, error) {
+// EvalAt runs the compiled chain serially against an arbitrary
+// first-stage source at a fresh final geometry.  The parallel form is
+// EvalScheduledAt with a worker-count-only schedule.
+func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
 	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
 		ck := *c.Stages[i]
 		ck.OutWidth, ck.OutHeight = k.OutWidth, k.OutHeight
-		if parallel {
-			return ck.EvalParallel(s, workers)
-		}
 		return ck.Eval(s)
 	}, nil)
-}
-
-// Eval runs the compiled chain serially at the lifted geometry.
-func (c *CompiledResult) Eval(src ir.Source) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.evalAt(src, w, h, false, 0)
-}
-
-// EvalParallel runs the compiled chain with the tiled parallel driver at
-// the lifted geometry (workers <= 0 means GOMAXPROCS).
-func (c *CompiledResult) EvalParallel(src ir.Source, workers int) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.evalAt(src, w, h, true, workers)
-}
-
-// EvalAt runs the compiled chain serially against an arbitrary
-// first-stage source at a fresh final geometry.
-func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
-	return c.evalAt(src, outW, outH, false, 0)
-}
-
-// EvalParallelAt is EvalAt through the tiled parallel driver.
-func (c *CompiledResult) EvalParallelAt(src ir.Source, outW, outH int, workers int) ([]byte, error) {
-	return c.evalAt(src, outW, outH, true, workers)
 }
 
 // stagedAt returns copies of the compiled stencil stages with their
@@ -852,6 +841,9 @@ func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *sche
 		return nil, err
 	}
 	if sc.FusionKind() == schedule.SlidingWindow {
+		if err := c.res.checkExtents(outW, outH); err != nil {
+			return nil, err
+		}
 		return ir.EvalFused(c.stagedAt(outW, outH), src, sc)
 	}
 	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
@@ -861,12 +853,6 @@ func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *sche
 	}, nil)
 }
 
-// EvalScheduled is EvalScheduledAt at the lifted geometry.
-func (c *CompiledResult) EvalScheduled(src ir.Source, sc *schedule.Schedule) ([]byte, error) {
-	w, h := c.res.EvalDims()
-	return c.EvalScheduledAt(src, w, h, sc)
-}
-
 // VerifySchedule checks one schedule's execution against the legacy
 // binary's own output, byte for byte.
 func (c *CompiledResult) VerifySchedule(sc *schedule.Schedule) error {
@@ -874,7 +860,8 @@ func (c *CompiledResult) VerifySchedule(sc *schedule.Schedule) error {
 	if err != nil {
 		return reject(PhaseVerify, err)
 	}
-	got, err := c.EvalScheduled(c.res.MaterializeInput(), sc)
+	w, h := c.res.EvalDims()
+	got, err := c.EvalScheduledAt(c.res.MaterializeInput(), w, h, sc)
 	if err != nil {
 		return reject(PhaseCompile, fmt.Errorf("lift: scheduled eval (%s): %w", sc, err))
 	}
@@ -901,6 +888,7 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	start := time.Now()
 	defer func() { r.addPhase(PhaseVerify, time.Since(start)) }()
 	fusable := c.Fusable()
+	w, h := r.EvalDims()
 	paths := []struct {
 		name string
 		src  ir.Source
@@ -909,14 +897,14 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 		{"generic", r.InputSource()},
 	}
 	for _, p := range paths {
-		got, err := c.Eval(p.src)
+		got, err := c.EvalAt(p.src, w, h)
 		if err != nil {
 			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s eval: %w", p.name, err))
 		}
 		if err := compareToVM("compiled "+p.name+" evaluation", got, want); err != nil {
 			return nil, reject(PhaseVerify, err)
 		}
-		got, err = c.EvalParallel(p.src, workers)
+		got, err = c.EvalScheduledAt(p.src, w, h, &schedule.Schedule{Workers: max(workers, 0)})
 		if err != nil {
 			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s parallel eval: %w", p.name, err))
 		}
@@ -926,9 +914,9 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 		if !fusable {
 			continue
 		}
-		for _, w := range []int{1, workers} {
-			sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: max(w, 0)}
-			got, err = c.EvalScheduled(p.src, sc)
+		for _, n := range []int{1, workers} {
+			sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: max(n, 0)}
+			got, err = c.EvalScheduledAt(p.src, w, h, sc)
 			if err != nil {
 				return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s sliding-window eval (%s): %w", p.name, sc, err))
 			}

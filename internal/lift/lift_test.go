@@ -8,6 +8,7 @@ import (
 	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
+	"helium/internal/schedule"
 	"helium/internal/trace"
 	"helium/internal/vm"
 )
@@ -205,9 +206,9 @@ func TestLiftedKernelOnFreshInput(t *testing.T) {
 			if !bytes.Equal(cgot, want) {
 				t.Errorf("compiled result does not generalize to a fresh input")
 			}
-			pgot, err := c.EvalParallelAt(fsrc, w, h, 0)
+			pgot, err := c.EvalScheduledAt(fsrc, w, h, &schedule.Schedule{})
 			if err != nil {
-				t.Fatalf("compiled EvalParallelAt: %v", err)
+				t.Fatalf("compiled parallel EvalScheduledAt: %v", err)
 			}
 			if !bytes.Equal(pgot, want) {
 				t.Errorf("parallel compiled result does not generalize to a fresh input")
@@ -451,6 +452,53 @@ func BenchmarkLiftPipeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := lift.Lift(k.Name, tgt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestNonPositiveExtentsRejected pins the chain's extent guard: a final
+// render that leaves any stage an empty region is an error with no bytes
+// on every tier — interpreter, compiled, and scheduled (tiled strips, and
+// sliding-window fusion where the pipeline streams) — never a panic and
+// never a stale buffer with a nil error.
+func TestNonPositiveExtentsRejected(t *testing.T) {
+	for _, k := range legacy.Kernels() {
+		res, err := lift.Lift(k.Name, target(k.Instantiate(liftConfigs[0])))
+		if err != nil {
+			t.Fatalf("%s: Lift: %v", k.Name, err)
+		}
+		c, err := res.Compile()
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", k.Name, err)
+		}
+		src := res.MaterializeInput()
+		tiers := map[string]func(w, h int) ([]byte, error){
+			"interp":   func(w, h int) ([]byte, error) { return res.EvalIRAt(src, w, h) },
+			"compiled": func(w, h int) ([]byte, error) { return c.EvalAt(src, w, h) },
+			"scheduled": func(w, h int) ([]byte, error) {
+				return c.EvalScheduledAt(src, w, h, &schedule.Schedule{Workers: 3})
+			},
+		}
+		if c.Fusable() {
+			tiers["fused"] = func(w, h int) ([]byte, error) {
+				return c.EvalScheduledAt(src, w, h, &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 2})
+			}
+		}
+		for _, d := range [][2]int{{-1, 4}, {4, -1}, {0, 4}, {4, 0}, {-3, -3}} {
+			for tier, eval := range tiers {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s %s at %dx%d panicked: %v", k.Name, tier, d[0], d[1], r)
+						}
+					}()
+					out, err := eval(d[0], d[1])
+					if err == nil || out != nil {
+						t.Errorf("%s %s at %dx%d = %d bytes, %v; want nil output and an error",
+							k.Name, tier, d[0], d[1], len(out), err)
+					}
+				}()
+			}
 		}
 	}
 }

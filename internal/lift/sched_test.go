@@ -95,7 +95,8 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 	}
 
 	src := res.MaterializeInput()
-	want, err := c.Eval(src) // materializing baseline
+	w, h := res.EvalDims()
+	want, err := c.EvalAt(src, w, h) // materializing baseline
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 		{Fusion: schedule.SlidingWindow, Workers: 4},
 		{Fusion: schedule.SlidingWindow, Workers: 4, WindowRows: 6},
 	} {
-		got, err := c.EvalScheduled(src, sc)
+		got, err := c.EvalScheduledAt(src, w, h, sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -140,10 +141,11 @@ func TestScheduleValidationSurfacesInEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EvalScheduled(res.MaterializeInput(), &schedule.Schedule{Fusion: "bogus"}); err == nil {
+	w, h := res.EvalDims()
+	if _, err := c.EvalScheduledAt(res.MaterializeInput(), w, h, &schedule.Schedule{Fusion: "bogus"}); err == nil {
 		t.Fatal("bogus fusion strategy must be rejected")
 	}
-	if _, err := c.EvalScheduled(res.MaterializeInput(), &schedule.Schedule{Fusion: schedule.SlidingWindow}); err == nil {
+	if _, err := c.EvalScheduledAt(res.MaterializeInput(), w, h, &schedule.Schedule{Fusion: schedule.SlidingWindow}); err == nil {
 		t.Fatal("sliding-window on a single-stage kernel must be rejected")
 	}
 }

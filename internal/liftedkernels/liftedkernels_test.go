@@ -1,5 +1,6 @@
-// End-to-end test of the checked-in generated package (this file is
-// handwritten; `helium gen` only rewrites runtime.go and kernels.go).
+// End-to-end tests of the liftedkernels package: the generated kernels.go
+// (which `helium gen` rewrites) and the hand-written runtime.go it runs
+// on.  This file is hand-written too.
 package liftedkernels_test
 
 import (
@@ -232,6 +233,95 @@ func TestFusedCoversUnconsumedProducerRows(t *testing.T) {
 			if gerr == nil || gerr.Error() != werr.Error() {
 				t.Errorf("badY=%d workers=%d: fused error %q, want %q", badY, workers, gerr, werr)
 			}
+		}
+	}
+}
+
+// TestNonPositiveExtentsRejected pins the runtime's extent guard: every
+// registered kernel, on every entry point, answers an empty or negative
+// output region with an error and no bytes — never a panic, and never a
+// stale buffer with a nil error.
+func TestNonPositiveExtentsRejected(t *testing.T) {
+	if got, want := len(liftedkernels.Kernels()), len(legacy.Kernels()); got != want {
+		t.Fatalf("generated registry holds %d kernels, corpus has %d", got, want)
+	}
+	img := &liftedkernels.Image{Pix: make([]byte, 4096), Base: 1024, Stride: 64, PixStep: 1}
+	entries := []struct {
+		name string
+		eval func(k *liftedkernels.Kernel, w, h int) ([]byte, error)
+	}{
+		{"Eval", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) { return k.Eval(img, w, h) }},
+		{"EvalSched", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) {
+			return k.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Workers: 3})
+		}},
+		{"EvalTuned", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) { return k.EvalTuned(img, w, h) }},
+	}
+	for _, k := range liftedkernels.Kernels() {
+		for _, d := range [][2]int{{-1, 4}, {4, -1}, {0, 4}, {4, 0}, {-3, -3}} {
+			for _, e := range entries {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s.%s(%dx%d) panicked: %v", k.Name, e.name, d[0], d[1], r)
+						}
+					}()
+					out, err := e.eval(k, d[0], d[1])
+					if err == nil || out != nil {
+						t.Errorf("%s.%s(%dx%d) = %d bytes, %v; want nil output and an error",
+							k.Name, e.name, d[0], d[1], len(out), err)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// TestTiledFaultMatchesEval drives the cache-tiled driver over a faulting
+// kernel.  The tile extents divide neither output extent, and one tile
+// band holds two faults: the left tile's sits on a later row, so the
+// scan-order-first fault is in the tile to its right.  The tiled error —
+// serial and with workers splitting the bands — must be Eval's, and a
+// clean run must reproduce Eval's bytes.
+func TestTiledFaultMatchesEval(t *testing.T) {
+	type pt struct{ x, y int }
+	mk := func(faults ...pt) *liftedkernels.Kernel {
+		row := func(dst []byte, step int, img *liftedkernels.Image, y, xbase, n int) (int, error) {
+			for x := 0; x < n; x++ {
+				for _, f := range faults {
+					if f.x == xbase+x && f.y == y {
+						return x, fmt.Errorf("synthetic fault at input (%d,%d)", f.x, f.y)
+					}
+				}
+				dst[x*step] = byte(7*(xbase+x) + 3*y)
+			}
+			return -1, nil
+		}
+		return &liftedkernels.Kernel{Name: "tiled", Channels: 1, Rows: []liftedkernels.RowFunc{row}}
+	}
+	img := &liftedkernels.Image{Pix: make([]byte, 256), Stride: 16, PixStep: 1}
+	const w, h = 10, 7
+	tiles := []liftedkernels.StageSched{{TileW: 3, TileH: 2}}
+
+	clean := mk()
+	want, err := clean.Eval(img, w, h)
+	if err != nil {
+		t.Fatalf("clean Eval: %v", err)
+	}
+	// Band 1 covers rows [2,4): tile x∈[0,3) faults at row 3, tile
+	// x∈[6,9) at row 2 — the scan-first one.  Band 3 adds a later fault.
+	faulty := mk(pt{1, 3}, pt{7, 2}, pt{0, 6})
+	_, werr := faulty.Eval(img, w, h)
+	if werr == nil || werr.Error() != "ir: kernel tiled at (7,2,0): synthetic fault at input (7,2)" {
+		t.Fatalf("serial reference error = %v", werr)
+	}
+	for _, workers := range []int{1, 3} {
+		spec := liftedkernels.ScheduleSpec{Workers: workers, Stages: tiles}
+		got, err := clean.EvalSched(img, w, h, spec)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: clean tiled eval = %v, %v; want Eval's bytes", workers, got, err)
+		}
+		if _, gerr := faulty.EvalSched(img, w, h, spec); gerr == nil || gerr.Error() != werr.Error() {
+			t.Errorf("workers=%d: tiled error %q, want %q", workers, gerr, werr)
 		}
 	}
 }

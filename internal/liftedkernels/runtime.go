@@ -1,16 +1,23 @@
-// Code generated by "helium gen"; DO NOT EDIT.
-
 // Package liftedkernels holds ahead-of-time Go source regenerated from the
 // lifted stencil corpus — the reproduction's analogue of the Halide code
 // Helium emits.  It is standalone: nothing here imports the lifting
 // pipeline, so the package can be vendored into a host application as the
 // drop-in replacement for the legacy filter.
 //
+// The package has two halves.  kernels.go is generated by `helium gen`
+// (one registration plus row functions per lifted kernel) and must not be
+// edited by hand.  This file, runtime.go, is the hand-written runtime the
+// generated half compiles against: the Image geometry, the Kernel driver
+// with reference-exact error selection, the ScheduleSpec execution layer
+// (worker row strips, cache tiles, sliding-window stage fusion), the
+// reduction driver and the shared error constructors.
+//
 // Values, error positions and error messages are bit-identical to the
 // helium/internal/ir interpreter and register executors — under every
 // ScheduleSpec: a schedule changes only the execution strategy (worker
 // count, stage fusion), never the result.  The generator's differential
-// tests enforce this with the real toolchain.
+// tests build this file with freshly generated kernels and enforce this
+// with the real toolchain.
 package liftedkernels
 
 import (
@@ -257,7 +264,7 @@ func (sc *Scratch) binsBuf(n int) []uint32 {
 	return sc.bins[:n]
 }
 
-// / worker returns worker t's own scratch: the parallel fused path gives
+// worker returns worker t's own scratch: the parallel fused path gives
 // every strip private ring planes that persist across evals.
 func (sc *Scratch) worker(t int) *Scratch {
 	for len(sc.procs) <= t {
@@ -307,6 +314,11 @@ func (k *Kernel) EvalTuned(img *Image, outW, outH int) ([]byte, error) {
 // EvalTunedInto is EvalTuned against caller-owned scratch.
 func (k *Kernel) EvalTunedInto(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
 	if k.Tuned != nil && k.Sched.effWorkers() == 1 {
+		// The baked driver assumes a non-empty region; only single-stage
+		// kernels carry one.
+		if err := k.checkExtent(outW, outH); err != nil {
+			return nil, err
+		}
 		return k.Tuned(sc, img, outW, outH)
 	}
 	return k.EvalInto(sc, img, outW, outH, k.Sched)
@@ -354,6 +366,9 @@ func (k *Kernel) EvalInto(sc *Scratch, img *Image, outW, outH int, spec Schedule
 		}
 		return fimg.Pix, nil
 	}
+	if err := k.checkExtent(outW, outH); err != nil {
+		return nil, err
+	}
 	if k.Red != nil {
 		return k.evalReduction(sc, img, outW, outH)
 	}
@@ -368,6 +383,16 @@ func (k *Kernel) EvalInto(sc *Scratch, img *Image, outW, outH int, spec Schedule
 		return nil, fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", k.Name, e.x, e.y, e.c, e.err)
 	}
 	return out, nil
+}
+
+// checkExtent rejects an empty output region (or reduction domain) of a
+// single-stage or reduction-only kernel.  Staged kernels check every
+// stage's own extent in evalStages.
+func (k *Kernel) checkExtent(outW, outH int) error {
+	if outW < 1 || outH < 1 {
+		return fmt.Errorf("ir: kernel %s extent %dx%d is empty", k.Name, outW, outH)
+	}
+	return nil
 }
 
 // rowErr is one row range's first failure in scan order.
