@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -270,17 +271,18 @@ func (c *compiler) exprID(e *Expr) int32 {
 	if id, ok := c.idByPtr[e]; ok {
 		return id
 	}
-	var b strings.Builder
-	e.keyHeader(&b, true)
-	b.WriteString("(")
+	var arr [64]byte
+	buf, _ := e.appendKeyHeader(arr[:0], true)
+	buf = append(buf, '(')
 	for i, a := range e.Args {
 		if i > 0 {
-			b.WriteString(",")
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "#%d", c.exprID(a))
+		buf = append(buf, '#')
+		buf = strconv.AppendInt(buf, int64(c.exprID(a)), 10)
 	}
-	b.WriteString(")")
-	key := b.String()
+	buf = append(buf, ')')
+	key := string(buf)
 	id, ok := c.idByKey[key]
 	if !ok {
 		id = int32(len(c.idByKey))

@@ -15,6 +15,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -85,7 +86,9 @@ const (
 	OpCall // known library call Sym(Args[0])
 )
 
-var opNames = map[Op]string{
+// opNames is indexed by Op (an array, not a map: Key renders an operator
+// name per node).
+var opNames = [256]string{
 	OpLoad: "in", OpConst: "const", OpConstF: "constf",
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpMulHi: "*hi", OpDiv: "/", OpMod: "%",
 	OpAnd: "&", OpOr: "|", OpXor: "^", OpNot: "~", OpNeg: "neg",
@@ -102,7 +105,7 @@ var opNames = map[Op]string{
 
 // String returns the compact spelling of the operation.
 func (op Op) String() string {
-	if s, ok := opNames[op]; ok {
+	if s := opNames[op]; s != "" {
 		return s
 	}
 	return fmt.Sprintf("irop(%d)", uint8(op))
@@ -216,65 +219,87 @@ func (e *Expr) Size() int {
 // Unlike String it encodes widths and table identities, so it is the
 // equality the lifting pipeline uses to collapse unrolled copies.
 func (e *Expr) Key() string {
-	var b strings.Builder
-	e.key(&b)
-	return b.String()
+	return string(e.appendKey(nil))
 }
 
-func (e *Expr) key(b *strings.Builder) {
-	if e.keyHeader(b, false) {
-		return
+// appendKey appends the tree's Key to dst.
+func (e *Expr) appendKey(dst []byte) []byte {
+	dst, leaf := e.appendKeyHeader(dst, false)
+	if leaf {
+		return dst
 	}
-	b.WriteString("(")
+	dst = append(dst, '(')
 	for i, a := range e.Args {
 		if i > 0 {
-			b.WriteString(",")
+			dst = append(dst, ',')
 		}
-		a.key(b)
+		dst = a.appendKey(dst)
 	}
-	b.WriteString(")")
+	return append(dst, ')')
 }
 
-// keyHeader writes the operator-and-scalar-field prefix of the node's
-// structural key — everything except the children — and reports whether
-// the node is a leaf.  exactFloats spells float constants as IEEE-754 bit
-// patterns, so distinct NaN payloads never share a key; the compiler's
-// common-subexpression elimination demands that exactness, the printable
-// Key keeps the readable %g form.
-func (e *Expr) keyHeader(b *strings.Builder, exactFloats bool) bool {
+// appendKeyHeader appends the operator-and-scalar-field prefix of the
+// node's structural key — everything except the children — and reports
+// whether the node is a leaf.  exactFloats spells float constants as
+// IEEE-754 bit patterns, so distinct NaN payloads never share a key; the
+// compiler's common-subexpression elimination demands that exactness, the
+// printable Key keeps the readable %g form.
+func (e *Expr) appendKeyHeader(dst []byte, exactFloats bool) ([]byte, bool) {
 	switch e.Op {
 	case OpLoad:
-		fmt.Fprintf(b, "in(%d,%d,%d)", e.DX, e.DY, e.DC)
-		return true
+		dst = append(dst, "in("...)
+		dst = strconv.AppendInt(dst, int64(e.DX), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.DY), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.DC), 10)
+		return append(dst, ')'), true
 	case OpConst:
-		fmt.Fprintf(b, "%d", e.Val)
-		return true
+		return strconv.AppendInt(dst, e.Val, 10), true
 	case OpConstF:
 		if exactFloats {
-			fmt.Fprintf(b, "f%016x", math.Float64bits(e.F))
-		} else {
-			fmt.Fprintf(b, "%g", e.F)
+			return appendHex16(append(dst, 'f'), math.Float64bits(e.F)), true
 		}
-		return true
+		return strconv.AppendFloat(dst, e.F, 'g', -1, 64), true
 	}
-	b.WriteString(e.Op.String())
+	dst = append(dst, e.Op.String()...)
 	switch e.Op {
 	case OpZExt, OpSExt, OpIntToFP:
-		fmt.Fprintf(b, "%d>%d", e.SrcWidth, e.Width)
+		dst = strconv.AppendInt(dst, int64(e.SrcWidth), 10)
+		dst = append(dst, '>')
+		dst = strconv.AppendInt(dst, int64(e.Width), 10)
 	case OpExtract:
-		fmt.Fprintf(b, "@%d w%d", e.Val, e.Width)
+		dst = append(dst, '@')
+		dst = strconv.AppendInt(dst, e.Val, 10)
+		dst = append(dst, " w"...)
+		dst = strconv.AppendInt(dst, int64(e.Width), 10)
 	case OpTable:
-		fmt.Fprintf(b, "#%x/%d", tableFingerprint(e.Table), e.Elem)
+		dst = append(dst, '#')
+		dst = strconv.AppendUint(dst, tableFingerprint(e.Table), 16)
+		dst = append(dst, '/')
+		dst = strconv.AppendInt(dst, int64(e.Elem), 10)
 	case OpTableIn:
-		fmt.Fprintf(b, "/%d", e.Elem)
+		dst = append(dst, '/')
+		dst = strconv.AppendInt(dst, int64(e.Elem), 10)
 	case OpCall:
-		fmt.Fprintf(b, ":%s", e.Sym)
+		dst = append(dst, ':')
+		dst = append(dst, e.Sym...)
 	default:
 		if e.Width != 0 {
-			fmt.Fprintf(b, "w%d", e.Width)
+			dst = append(dst, 'w')
+			dst = strconv.AppendInt(dst, int64(e.Width), 10)
 		}
 	}
-	return false
+	return dst, false
+}
+
+// appendHex16 appends v as exactly 16 lowercase hex digits.
+func appendHex16(dst []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>uint(shift)&0xf])
+	}
+	return dst
 }
 
 // tableFingerprint hashes table contents (FNV-1a) so distinct tables get

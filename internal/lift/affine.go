@@ -42,6 +42,7 @@ func liftAffine(name string, tr *trace.InstTrace, prog *isa.Program, bufs *Buffe
 	// Rebase every sample's loads to its own minimal tap and record the
 	// per-axis bases; the rebased trees must be one tree per channel.
 	reps := make([]*ir.Expr, channels)
+	in, cz, moved := newInterner(), newCanonicalizer(), make(map[*ir.Expr]*ir.Expr)
 	bx := make([]int, w)
 	by := make([]int, h)
 	seenX := make([]bool, w)
@@ -62,14 +63,15 @@ func liftAffine(name string, tr *trace.InstTrace, prog *isa.Program, bufs *Buffe
 		if !any {
 			return nil, fmt.Errorf("sample (%d,%d) reads no input pixels", st.X, st.Y)
 		}
-		visitLoads(st.Expr, func(l *ir.Expr) {
-			l.DX -= minX
-			l.DY -= minY
-		})
-		canon := Canonicalize(st.Expr)
+		// The extracted nodes are shared between samples: rebase into new
+		// (interned) nodes, so identically rebased samples become one
+		// tree that the canonicalizer rewrites once.
+		clear(moved)
+		rebased := shiftLoads(in, st.Expr, -minX, -minY, moved)
+		canon := cz.canon(rebased)
 		if reps[st.C] == nil {
 			reps[st.C] = canon
-		} else if reps[st.C].Key() != canon.Key() {
+		} else if cz.key(reps[st.C]) != cz.key(canon) {
 			return nil, fmt.Errorf("channel %d trees do not differ by a pure translation: sample (%d,%d) computes %s, others %s",
 				st.C, st.X, st.Y, canon, reps[st.C])
 		}

@@ -16,19 +16,59 @@ import (
 // positions — all canonicalize to the same tree.  Floating point chains
 // are never reassociated or reordered: that would change rounding.
 func Canonicalize(e *ir.Expr) *ir.Expr {
+	return newCanonicalizer().canon(e)
+}
+
+// canonicalizer is Canonicalize with memory.  Canonicalization is a pure
+// function of a tree's structure, so the canonical form of a node is
+// memoized by its pointer: a shared subexpression (the extractor's memo
+// and hash-consing share them within and across samples) is rewritten
+// once, not once per path to it.  Canonical nodes are themselves shared
+// between the trees a canonicalizer returns, so they are never mutated:
+// passes that need different nodes (unify's centering, the affine and
+// reduction rebasing) build new ones.
+type canonicalizer struct {
+	memo map[*ir.Expr]*ir.Expr
+	// keys caches the structural key of canonical nodes: the operand sort
+	// and the clamp matchers compare keys, which would otherwise be
+	// re-rendered on every comparison.
+	keys map[*ir.Expr]string
+}
+
+func newCanonicalizer() *canonicalizer {
+	return &canonicalizer{memo: make(map[*ir.Expr]*ir.Expr), keys: make(map[*ir.Expr]string)}
+}
+
+// canon returns the canonical form of e.
+func (c *canonicalizer) canon(e *ir.Expr) *ir.Expr {
+	if r, ok := c.memo[e]; ok {
+		return r
+	}
 	args := make([]*ir.Expr, len(e.Args))
 	for i, a := range e.Args {
-		args[i] = Canonicalize(a)
+		args[i] = c.canon(a)
 	}
 	n := &ir.Expr{
 		Op: e.Op, DX: e.DX, DY: e.DY, DC: e.DC,
 		Val: e.Val, F: e.F, Width: e.Width, SrcWidth: e.SrcWidth,
 		Sym: e.Sym, Table: e.Table, Elem: e.Elem, Args: args,
 	}
-	return rewrite(n)
+	r := c.rewrite(n)
+	c.memo[e] = r
+	return r
 }
 
-func rewrite(e *ir.Expr) *ir.Expr {
+// key returns e's structural key, rendered once per node.
+func (c *canonicalizer) key(e *ir.Expr) string {
+	k, ok := c.keys[e]
+	if !ok {
+		k = e.Key()
+		c.keys[e] = k
+	}
+	return k
+}
+
+func (c *canonicalizer) rewrite(e *ir.Expr) *ir.Expr {
 	e = foldConst(e)
 	if e.Op == ir.OpConst || e.Op == ir.OpConstF {
 		return e
@@ -36,7 +76,7 @@ func rewrite(e *ir.Expr) *ir.Expr {
 
 	switch e.Op {
 	case ir.OpSelect:
-		return rewriteSelect(e)
+		return c.rewriteSelect(e)
 	case ir.OpZExt:
 		// Zero extension of a value that already fits its source width is
 		// the value itself.
@@ -66,17 +106,17 @@ func rewrite(e *ir.Expr) *ir.Expr {
 	}
 
 	if e.Op.Associative() {
-		e = flatten(e)
+		e = c.flatten(e)
 		if e.Op == ir.OpConst || len(e.Args) == 1 {
 			if e.Op == ir.OpConst {
 				return e
 			}
 			return e.Args[0]
 		}
-		if m := matchMin(e); m != nil {
+		if m := c.matchMin(e); m != nil {
 			return m
 		}
-		if m := matchMax(e); m != nil {
+		if m := c.matchMax(e); m != nil {
 			return m
 		}
 	}
@@ -104,11 +144,18 @@ func foldConst(e *ir.Expr) *ir.Expr {
 	return ir.Const(int64(v))
 }
 
+// keyedArg is an operand with its sort key, for flatten.
+type keyedArg struct {
+	e     *ir.Expr
+	key   string
+	konst bool
+}
+
 // flatten merges nested chains of the same associative operation, combines
 // constant operands, drops identity elements and sorts the operands by
 // canonical key, so every unrolled copy of the same reduction linearizes
 // identically.
-func flatten(e *ir.Expr) *ir.Expr {
+func (c *canonicalizer) flatten(e *ir.Expr) *ir.Expr {
 	var args []*ir.Expr
 	var consts []int64
 	var walk func(n *ir.Expr)
@@ -166,15 +213,24 @@ func flatten(e *ir.Expr) *ir.Expr {
 		}
 	}
 
-	// Canonical operand order: non-constants by key, constants last.
-	sort.SliceStable(args, func(i, j int) bool {
-		ci := args[i].Op == ir.OpConst || args[i].Op == ir.OpConstF
-		cj := args[j].Op == ir.OpConst || args[j].Op == ir.OpConstF
-		if ci != cj {
-			return cj
+	// Canonical operand order: non-constants by key, constants last.  The
+	// keys are looked up once per operand, not once per comparison.
+	ops := make([]keyedArg, len(args))
+	for i, a := range args {
+		ops[i] = keyedArg{e: a, konst: a.Op == ir.OpConst || a.Op == ir.OpConstF}
+		if !ops[i].konst {
+			ops[i].key = c.key(a)
 		}
-		return args[i].Key() < args[j].Key()
+	}
+	sort.SliceStable(ops, func(i, j int) bool {
+		if ops[i].konst != ops[j].konst {
+			return ops[j].konst
+		}
+		return ops[i].key < ops[j].key
 	})
+	for i := range ops {
+		args[i] = ops[i].e
+	}
 	if len(args) == 1 {
 		return args[0]
 	}
@@ -193,7 +249,7 @@ func isConst(e *ir.Expr, v int64) bool {
 // lifting.  A constant condition picks its arm, equal arms collapse, and
 // the compare-and-pick shapes that are provably clamps become min/max —
 // anything else stays a select.
-func rewriteSelect(e *ir.Expr) *ir.Expr {
+func (c *canonicalizer) rewriteSelect(e *ir.Expr) *ir.Expr {
 	cond, a, b := e.Args[0], e.Args[1], e.Args[2]
 	if cond.Op == ir.OpConst {
 		if cond.Val != 0 {
@@ -201,7 +257,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 		}
 		return b
 	}
-	if a.Key() == b.Key() {
+	if c.key(a) == c.key(b) {
 		return a
 	}
 	// Hoist the store-narrowing byte extraction out of the arms so clamp
@@ -213,7 +269,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// constant arm that already fits the extracted width is its own
 	// extraction).  The rewritten select often becomes min/max, whose
 	// bounds then discharge the extraction entirely.
-	if h := hoistExtract(cond, a, b); h != nil {
+	if h := c.hoistExtract(cond, a, b); h != nil {
 		return h
 	}
 	if cond.Op != ir.OpCmpLtS && cond.Op != ir.OpCmpLeS {
@@ -223,13 +279,13 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// Both hold for <= as well: on equality every form yields the same
 	// value.
 	l, r := cond.Args[0], cond.Args[1]
-	lk, rk, ak, bk := l.Key(), r.Key(), a.Key(), b.Key()
+	lk, rk, ak, bk := c.key(l), c.key(r), c.key(a), c.key(b)
 	w := cond.Width
 	if ak == lk && bk == rk {
-		return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{a, b}})
+		return c.rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{a, b}})
 	}
 	if ak == rk && bk == lk {
-		return rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{a, b}})
+		return c.rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{a, b}})
 	}
 	// Two-sided clamps built from sequential branches:
 	//
@@ -240,17 +296,17 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 	// clamp constants are ordered).
 	if l.Op == ir.OpConst && b.Op == ir.OpConst && l.Val == b.Val &&
 		a.Op == ir.OpMin && len(a.Args) == 2 {
-		if c := constOperand(a, rk); c != nil && c.Val >= l.Val {
-			return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
-				rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{r, ir.Const(l.Val)}}), c,
+		if k := c.constOperand(a, rk); k != nil && k.Val >= l.Val {
+			return c.rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
+				c.rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{r, ir.Const(l.Val)}}), k,
 			}})
 		}
 	}
 	if r.Op == ir.OpConst && b.Op == ir.OpConst && r.Val == b.Val &&
 		a.Op == ir.OpMax && len(a.Args) == 2 {
-		if c := constOperand(a, lk); c != nil && r.Val >= c.Val {
-			return rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
-				rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{l, c}}), ir.Const(r.Val),
+		if k := c.constOperand(a, lk); k != nil && r.Val >= k.Val {
+			return c.rewrite(&ir.Expr{Op: ir.OpMin, Width: w, Args: []*ir.Expr{
+				c.rewrite(&ir.Expr{Op: ir.OpMax, Width: w, Args: []*ir.Expr{l, k}}), ir.Const(r.Val),
 			}})
 		}
 	}
@@ -260,7 +316,7 @@ func rewriteSelect(e *ir.Expr) *ir.Expr {
 // hoistExtract rewrites select(c, byte0(x), y) to byte0(select(c, x, y))
 // when y is a constant fitting the extracted width (or an identical
 // extraction), and nil when the shape does not apply.
-func hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
+func (c *canonicalizer) hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
 	ex := a
 	other, otherFirst := b, false
 	if ex.Op != ir.OpExtract || ex.Val != 0 {
@@ -282,15 +338,15 @@ func hoistExtract(cond, a, b *ir.Expr) *ir.Expr {
 	if otherFirst {
 		args = []*ir.Expr{cond, inner, ex.Args[0]}
 	}
-	sel := rewriteSelect(&ir.Expr{Op: ir.OpSelect, Args: args})
-	return rewrite(&ir.Expr{Op: ir.OpExtract, Val: 0, Width: ex.Width, SrcWidth: ex.SrcWidth, Args: []*ir.Expr{sel}})
+	sel := c.rewriteSelect(&ir.Expr{Op: ir.OpSelect, Args: args})
+	return c.rewrite(&ir.Expr{Op: ir.OpExtract, Val: 0, Width: ex.Width, SrcWidth: ex.SrcWidth, Args: []*ir.Expr{sel}})
 }
 
 // constOperand returns the constant bound of a two-operand min/max whose
 // other operand's key is vKey.
-func constOperand(m *ir.Expr, vKey string) *ir.Expr {
+func (c *canonicalizer) constOperand(m *ir.Expr, vKey string) *ir.Expr {
 	for i, arg := range m.Args {
-		if arg.Op == ir.OpConst && m.Args[1-i].Key() == vKey {
+		if arg.Op == ir.OpConst && c.key(m.Args[1-i]) == vKey {
 			return arg
 		}
 	}
@@ -302,7 +358,7 @@ func constOperand(m *ir.Expr, vKey string) *ir.Expr {
 //	x & ^(x >>a 31)  ==  max(x, 0)
 //
 // on a flattened, sorted AND node.
-func matchMax(e *ir.Expr) *ir.Expr {
+func (c *canonicalizer) matchMax(e *ir.Expr) *ir.Expr {
 	if e.Op != ir.OpAnd || len(e.Args) != 2 || e.Width != 4 {
 		return nil
 	}
@@ -315,7 +371,7 @@ func matchMax(e *ir.Expr) *ir.Expr {
 		if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) {
 			continue
 		}
-		if sar.Args[0].Key() == x.Key() {
+		if c.key(sar.Args[0]) == c.key(x) {
 			return &ir.Expr{Op: ir.OpMax, Width: 4, Args: []*ir.Expr{x, ir.Const(0)}}
 		}
 	}
@@ -327,24 +383,24 @@ func matchMax(e *ir.Expr) *ir.Expr {
 //	c + ((x - c) & ((x - c) >>a 31))  ==  min(x, c)
 //
 // on a flattened, sorted ADD node.
-func matchMin(e *ir.Expr) *ir.Expr {
+func (c *canonicalizer) matchMin(e *ir.Expr) *ir.Expr {
 	if e.Op != ir.OpAdd || len(e.Args) != 2 || e.Width != 4 {
 		return nil
 	}
 	for i := 0; i < 2; i++ {
-		c, and := e.Args[i], e.Args[1-i]
-		if c.Op != ir.OpConst || and.Op != ir.OpAnd || len(and.Args) != 2 {
+		k, and := e.Args[i], e.Args[1-i]
+		if k.Op != ir.OpConst || and.Op != ir.OpAnd || len(and.Args) != 2 {
 			continue
 		}
 		for j := 0; j < 2; j++ {
 			t, sar := and.Args[j], and.Args[1-j]
-			if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) || sar.Args[0].Key() != t.Key() {
+			if sar.Op != ir.OpSar || !isConst(sar.Args[1], 31) || c.key(sar.Args[0]) != c.key(t) {
 				continue
 			}
-			if t.Op != ir.OpSub || !isConst(t.Args[1], c.Val) {
+			if t.Op != ir.OpSub || !isConst(t.Args[1], k.Val) {
 				continue
 			}
-			return &ir.Expr{Op: ir.OpMin, Width: 4, Args: []*ir.Expr{t.Args[0], ir.Const(c.Val)}}
+			return &ir.Expr{Op: ir.OpMin, Width: 4, Args: []*ir.Expr{t.Args[0], ir.Const(k.Val)}}
 		}
 	}
 	return nil

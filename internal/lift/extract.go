@@ -78,12 +78,40 @@ type extractor struct {
 	outWrites []int
 
 	// memo caches resolved references by their defining write, so shared
-	// subexpressions become shared nodes within one sample's tree.
+	// subexpressions become shared nodes within one sample's tree.  It is
+	// cleared, not reallocated, between samples.
 	memo  map[memoKey]*ir.Expr
 	nodes int
 	// limit is the active node budget: maxTreeNodes for the value slice,
 	// temporarily tightened while slicing branch conditions.
 	limit int
+
+	// in hash-conses every node the extractor builds, across all the
+	// samples this extractor slices, so identical unrolled copies share
+	// one tree.  canon canonicalizes guard conditions with a memo over
+	// those shared nodes, and hasLoad caches containsLoad per node.
+	in      *interner
+	canon   *canonicalizer
+	hasLoad map[*ir.Expr]bool
+}
+
+// newExtractor returns an extractor over one trace; each extraction
+// worker owns one.
+func newExtractor(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, abs bool) *extractor {
+	return &extractor{
+		tr: tr, prog: prog, bufs: bufs, abs: abs,
+		memo:    make(map[memoKey]*ir.Expr),
+		in:      newInterner(),
+		canon:   newCanonicalizer(),
+		hasLoad: make(map[*ir.Expr]bool),
+	}
+}
+
+// startSlice resets the per-slice state: the write memo and node budget.
+func (ex *extractor) startSlice() {
+	clear(ex.memo)
+	ex.nodes = 0
+	ex.limit = maxTreeNodes
 }
 
 type memoKey struct {
@@ -102,6 +130,9 @@ type memoKey struct {
 //
 // Per-sample slices are independent (the memo is reset per sample), so the
 // samples are distributed over a bounded worker pool sized by GOMAXPROCS.
+// Each worker hash-conses the nodes it builds, so trees of different
+// samples share structurally identical subtrees; the trees must be
+// treated as immutable.
 func Extract(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers) ([]SampleTree, error) {
 	return ExtractWorkers(tr, prog, bufs, 0)
 }
@@ -123,17 +154,20 @@ func extractTrees(tr *trace.InstTrace, prog *isa.Program, bufs *Buffers, workers
 	total := out.Rows * out.RowBytes
 	trees := make([]SampleTree, total)
 
-	// The write index builds lazily on first use; force it here so the
-	// workers only ever read the trace (the tracer usually built it
-	// already, in which case this is free).
+	// The write index and the program's address index build lazily on
+	// first use; force both here so the workers only ever read them (the
+	// tracer and the assembler usually built them already, in which case
+	// this is free).
 	tr.EnsureWriteIndex()
+	prog.Lookup(prog.Entry)
 	outWrites := outputWrites(tr, out)
 
 	// One sample per chunk: a single backward slice is heavy enough that
 	// the hand-out cursor never dominates, and finer chunks balance the
 	// very uneven per-sample slicing cost.
 	err := par.For(total, 1, workers, func(int) func(int, int) error {
-		ex := &extractor{tr: tr, prog: prog, bufs: bufs, outWrites: outWrites, abs: abs}
+		ex := newExtractor(tr, prog, bufs, abs)
+		ex.outWrites = outWrites
 		return func(start, end int) error {
 			for i := start; i < end; i++ {
 				y, b := i/out.RowBytes, i%out.RowBytes
@@ -161,11 +195,12 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 	lo := out.Base
 	hi := out.Base + uint64(out.Rows-1)*uint64(out.Stride) + uint64(out.RowBytes)
 	var seqs []int
-	for i := range tr.Insts {
-		for _, ef := range tr.Insts[i].Effects {
+	for i := 0; i < tr.Len(); i++ {
+		di := tr.At(i)
+		for _, ef := range di.Effects {
 			d := ef.Dst
 			if d.Space == trace.SpaceMem && d.Addr+uint64(d.Width) > lo && d.Addr < hi {
-				seqs = append(seqs, tr.Insts[i].Seq)
+				seqs = append(seqs, di.Seq)
 				break
 			}
 		}
@@ -177,21 +212,18 @@ func outputWrites(tr *trace.InstTrace, out OutputDesc) []int {
 // the data-dependent branch guards of its dynamic window.
 func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 	addr := ex.bufs.Out.Addr(x, y, c)
-	writes := ex.tr.WritesTo(addr)
-	if len(writes) == 0 {
+	seq, ok := ex.tr.LastWriteBefore(ex.tr.Len(), addr, 1)
+	if !ok {
 		return nil, nil, fmt.Errorf("no trace write to %#x", addr)
 	}
-	seq := writes[len(writes)-1]
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	ef := findEffect(di, addr, 1)
 	if ef == nil {
 		return nil, nil, fmt.Errorf("writer %v has no effect covering %#x", di.Op, addr)
 	}
 
 	ex.xo, ex.yo, ex.curChannel = x, y, c
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes = 0
-	ex.limit = maxTreeNodes
+	ex.startSlice()
 
 	e, err := ex.effectExpr(di, ef)
 	if err != nil {
@@ -202,7 +234,7 @@ func (ex *extractor) sample(x, y, c int) (*ir.Expr, []Guard, error) {
 		if ef.Dst.Float {
 			return nil, nil, fmt.Errorf("output byte %#x is a narrow view of a %d-byte float store; float narrowing is not liftable", addr, ef.Dst.Width)
 		}
-		e = &ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: 1, SrcWidth: int(ef.Dst.Width), Args: []*ir.Expr{e}}
+		e = ex.in.node(&ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: 1, SrcWidth: int(ef.Dst.Width)}, e)
 	}
 	guards, err := ex.collectGuards(seq)
 	if err != nil {
@@ -233,7 +265,7 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 	var guards []Guard
 	byKey := make(map[string]int)
 	for s := start; s < seq; s++ {
-		di := &ex.tr.Insts[s]
+		di := ex.tr.At(s)
 		if !di.Op.IsCondJump() {
 			continue
 		}
@@ -250,11 +282,17 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 			}
 			return nil, fmt.Errorf("guard at seq %d: %w", s, err)
 		}
-		cond = Canonicalize(cond)
-		if !containsLoad(cond) {
+		// Canonicalization never introduces a load, so a condition whose
+		// raw slice reads no input is loop machinery either way and skips
+		// the rewrite.
+		if !containsLoad(cond, ex.hasLoad) {
 			continue
 		}
-		key := cond.Key()
+		cond = ex.canon.canon(cond)
+		if !containsLoad(cond, ex.hasLoad) {
+			continue
+		}
+		key := ex.canon.key(cond)
 		if prev, ok := byKey[key]; ok {
 			if guards[prev].Taken != di.Taken {
 				return nil, fmt.Errorf("guard at seq %d: condition %s observed with both outcomes in one sample window", s, cond)
@@ -271,10 +309,18 @@ func (ex *extractor) collectGuards(seq int) ([]Guard, error) {
 }
 
 // containsLoad reports whether the expression reads any input sample.
-func containsLoad(e *ir.Expr) bool {
-	found := false
-	visitLoads(e, func(*ir.Expr) { found = true })
-	return found
+// seen memoizes the answer per node; nodes are immutable, so one map may
+// serve many calls.
+func containsLoad(e *ir.Expr, seen map[*ir.Expr]bool) bool {
+	if has, ok := seen[e]; ok {
+		return has
+	}
+	has := e.Op == ir.OpLoad
+	for i := 0; !has && i < len(e.Args); i++ {
+		has = containsLoad(e.Args[i], seen)
+	}
+	seen[e] = has
+	return has
 }
 
 // condExpr lifts the condition of the conditional jump or set opcode cc
@@ -287,7 +333,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 	if !ok {
 		return nil, fmt.Errorf("%v at seq %d has no flags producer in the trace", cc, seq)
 	}
-	pdi := &ex.tr.Insts[w]
+	pdi := ex.tr.At(w)
 	ef := findEffect(pdi, trace.FlagsAddr, 1)
 	if ef == nil {
 		return nil, fmt.Errorf("flags producer %v at seq %d has no flags effect", pdi.Op, w)
@@ -307,7 +353,7 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return predAfterCmp(cc, width, a, b, pdi)
+		return predAfterCmp(ex.in, cc, width, a, b, pdi)
 
 	case trace.OpTest:
 		a, err := ex.refExpr(pdi.Seq, ef.Srcs[0])
@@ -319,10 +365,10 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 			return nil, err
 		}
 		v := a
-		if a.Key() != b.Key() {
-			v = ir.Bin(ir.OpAnd, width, a, b)
+		if a != b && ex.canon.key(a) != ex.canon.key(b) {
+			v = ex.in.bin(ir.OpAnd, width, a, b)
 		}
-		return predOfValue(cc, width, v, pdi)
+		return predOfValue(ex.in, cc, width, v, pdi)
 
 	default:
 		// An arithmetic instruction set the flags: the sign and zero
@@ -336,38 +382,38 @@ func (ex *extractor) condExpr(seq int, cc isa.Opcode) (*ir.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return predOfValue(cc, width, v, pdi)
+				return predOfValue(ex.in, cc, width, v, pdi)
 			}
 		}
 		return nil, fmt.Errorf("%v at %#x consumes flags of %v at %#x, which has no reconstructible value; the nearest liftable pattern compares with cmp or test",
-			cc, ex.tr.Insts[seq].Addr, pdi.Op, pdi.Addr)
+			cc, ex.tr.At(seq).Addr, pdi.Op, pdi.Addr)
 	}
 }
 
 // predAfterCmp maps a condition code evaluated after cmp(a, b) onto the
 // IR comparison that is true exactly when the condition holds.
-func predAfterCmp(cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+func predAfterCmp(in *interner, cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
 	switch cc {
 	case isa.JZ, isa.SETZ:
-		return ir.Bin(ir.OpCmpEq, w, a, b), nil
+		return in.bin(ir.OpCmpEq, w, a, b), nil
 	case isa.JNZ, isa.SETNZ:
-		return ir.Bin(ir.OpCmpNe, w, a, b), nil
+		return in.bin(ir.OpCmpNe, w, a, b), nil
 	case isa.JL:
-		return ir.Bin(ir.OpCmpLtS, w, a, b), nil
+		return in.bin(ir.OpCmpLtS, w, a, b), nil
 	case isa.JGE:
-		return ir.Bin(ir.OpCmpLeS, w, b, a), nil
+		return in.bin(ir.OpCmpLeS, w, b, a), nil
 	case isa.JLE:
-		return ir.Bin(ir.OpCmpLeS, w, a, b), nil
+		return in.bin(ir.OpCmpLeS, w, a, b), nil
 	case isa.JG:
-		return ir.Bin(ir.OpCmpLtS, w, b, a), nil
+		return in.bin(ir.OpCmpLtS, w, b, a), nil
 	case isa.JB, isa.SETB:
-		return ir.Bin(ir.OpCmpLtU, w, a, b), nil
+		return in.bin(ir.OpCmpLtU, w, a, b), nil
 	case isa.JNB, isa.SETNB:
-		return ir.Bin(ir.OpCmpLeU, w, b, a), nil
+		return in.bin(ir.OpCmpLeU, w, b, a), nil
 	case isa.JBE:
-		return ir.Bin(ir.OpCmpLeU, w, a, b), nil
+		return in.bin(ir.OpCmpLeU, w, a, b), nil
 	case isa.JA:
-		return ir.Bin(ir.OpCmpLtU, w, b, a), nil
+		return in.bin(ir.OpCmpLtU, w, b, a), nil
 	}
 	return nil, fmt.Errorf("%v after %v at %#x mixes sign and overflow flags and is not liftable; the nearest supported patterns are the signed (jl/jge/jle/jg) and unsigned (jb/jnb/jbe/ja) compare-and-branch forms",
 		cc, pdi.Op, pdi.Addr)
@@ -375,17 +421,17 @@ func predAfterCmp(cc isa.Opcode, w int, a, b *ir.Expr, pdi *trace.DynInst) (*ir.
 
 // predOfValue maps a condition code onto a predicate over a reconstructed
 // result value (test a, a; arithmetic flag producers).
-func predOfValue(cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
-	zero := ir.Const(0)
+func predOfValue(in *interner, cc isa.Opcode, w int, v *ir.Expr, pdi *trace.DynInst) (*ir.Expr, error) {
+	zero := in.konst(0)
 	switch cc {
 	case isa.JZ, isa.SETZ:
-		return ir.Bin(ir.OpCmpEq, w, v, zero), nil
+		return in.bin(ir.OpCmpEq, w, v, zero), nil
 	case isa.JNZ, isa.SETNZ:
-		return ir.Bin(ir.OpCmpNe, w, v, zero), nil
+		return in.bin(ir.OpCmpNe, w, v, zero), nil
 	case isa.JS:
-		return ir.Bin(ir.OpCmpLtS, w, v, zero), nil
+		return in.bin(ir.OpCmpLtS, w, v, zero), nil
 	case isa.JNS:
-		return ir.Bin(ir.OpCmpLeS, w, zero, v), nil
+		return in.bin(ir.OpCmpLeS, w, zero, v), nil
 	}
 	return nil, fmt.Errorf("%v after %v at %#x needs carry or overflow state a value slice cannot reconstruct; the nearest supported pattern is an explicit cmp before the branch",
 		cc, pdi.Op, pdi.Addr)
@@ -413,12 +459,12 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 	case trace.SpaceImm:
 		ex.nodes++
 		if ref.Float {
-			return ir.ConstF(ref.FVal), nil
+			return ex.in.konstF(ref.FVal), nil
 		}
-		return ir.Const(int64(ref.Val)), nil
+		return ex.in.konst(int64(ref.Val)), nil
 	case trace.SpaceFlags:
 		return nil, fmt.Errorf("%v at %#x (seq %d) consumes raw flag bits as data; only setcc, conditional branches and cmp/test flag flows are liftable",
-			ex.tr.Insts[seq].Op, ex.tr.Insts[seq].Addr, seq)
+			ex.tr.At(seq).Op, ex.tr.At(seq).Addr, seq)
 	}
 
 	// Input-region reads terminate the slice as stencil taps, even when an
@@ -467,14 +513,14 @@ func (ex *extractor) refExpr(seq int, ref trace.Ref) (*ir.Expr, error) {
 	// contents) observed with a fixed value.
 	ex.nodes++
 	if ref.Float {
-		return ir.ConstF(ref.FVal), nil
+		return ex.in.konstF(ref.FVal), nil
 	}
-	return ir.Const(int64(ref.Val)), nil
+	return ex.in.konst(int64(ref.Val)), nil
 }
 
 // throughWrite continues the slice through the effect that last wrote ref.
 func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
-	di := &ex.tr.Insts[w]
+	di := ex.tr.At(w)
 	ef := findEffect(di, ref.Addr, ref.Width)
 	if ef == nil {
 		return nil, fmt.Errorf("%v at %#x (seq %d) wrote only part of %v; partial-write slicing is unsupported — the nearest liftable pattern stores the full destination width before any wider read (split the store, or read back at the stored width)",
@@ -491,25 +537,27 @@ func (ex *extractor) throughWrite(w int, ref trace.Ref) (*ir.Expr, error) {
 			return nil, fmt.Errorf("seq %d: narrow read of a %d-byte float value; float narrowing is not liftable", w, ef.Dst.Width)
 		}
 		ex.nodes++
-		e = &ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: int(ref.Width), SrcWidth: int(ef.Dst.Width), Args: []*ir.Expr{e}}
+		e = ex.in.node(&ir.Expr{Op: ir.OpExtract, Val: int64(off), Width: int(ref.Width), SrcWidth: int(ef.Dst.Width)}, e)
 	}
 	return e, nil
+}
+
+// simpleOps maps the effect operations that lift one-to-one onto an IR
+// operation over their sliced operands; ir.OpInvalid marks the rest.
+var simpleOps = [256]ir.Op{
+	trace.OpAdd: ir.OpAdd, trace.OpSub: ir.OpSub, trace.OpMul: ir.OpMul,
+	trace.OpMulHi: ir.OpMulHi, trace.OpDiv: ir.OpDiv, trace.OpMod: ir.OpMod,
+	trace.OpAnd: ir.OpAnd, trace.OpOr: ir.OpOr, trace.OpXor: ir.OpXor,
+	trace.OpShl: ir.OpShl, trace.OpShr: ir.OpShr, trace.OpSar: ir.OpSar,
+	trace.OpNot: ir.OpNot, trace.OpNeg: ir.OpNeg,
+	trace.OpFAdd: ir.OpFAdd, trace.OpFSub: ir.OpFSub,
+	trace.OpFMul: ir.OpFMul, trace.OpFDiv: ir.OpFDiv,
 }
 
 // effectExpr turns one architectural assignment into an expression node.
 func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, error) {
 	ex.nodes++
 	w := int(ef.Dst.Width)
-
-	simple := map[trace.ExprOp]ir.Op{
-		trace.OpAdd: ir.OpAdd, trace.OpSub: ir.OpSub, trace.OpMul: ir.OpMul,
-		trace.OpMulHi: ir.OpMulHi, trace.OpDiv: ir.OpDiv, trace.OpMod: ir.OpMod,
-		trace.OpAnd: ir.OpAnd, trace.OpOr: ir.OpOr, trace.OpXor: ir.OpXor,
-		trace.OpShl: ir.OpShl, trace.OpShr: ir.OpShr, trace.OpSar: ir.OpSar,
-		trace.OpNot: ir.OpNot, trace.OpNeg: ir.OpNeg,
-		trace.OpFAdd: ir.OpFAdd, trace.OpFSub: ir.OpFSub,
-		trace.OpFMul: ir.OpFMul, trace.OpFDiv: ir.OpFDiv,
-	}
 
 	switch ef.Op {
 	case trace.OpIdentity:
@@ -524,7 +572,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		if ef.Op == trace.OpSExt {
 			op = ir.OpSExt
 		}
-		return &ir.Expr{Op: op, Width: w, SrcWidth: int(ef.Srcs[0].Width), Args: []*ir.Expr{child}}, nil
+		return ex.in.node(&ir.Expr{Op: op, Width: w, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
 
 	case trace.OpLea:
 		// srcs = [base, index, scale, disp]: expand the address arithmetic.
@@ -540,30 +588,30 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		disp := int64(int32(ef.Srcs[3].Val))
 		scaled := index
 		if scale != 1 {
-			scaled = ir.Bin(ir.OpMul, w, index, ir.Const(scale))
+			scaled = ex.in.bin(ir.OpMul, w, index, ex.in.konst(scale))
 		}
-		return ir.Bin(ir.OpAdd, w, ir.Bin(ir.OpAdd, w, base, scaled), ir.Const(disp)), nil
+		return ex.in.bin(ir.OpAdd, w, ex.in.bin(ir.OpAdd, w, base, scaled), ex.in.konst(disp)), nil
 
 	case trace.OpCall:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpCall, Sym: di.Sym, Args: []*ir.Expr{child}}, nil
+		return ex.in.node(&ir.Expr{Op: ir.OpCall, Sym: di.Sym}, child), nil
 
 	case trace.OpIntToFP:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(ef.Srcs[0].Width), Args: []*ir.Expr{child}}, nil
+		return ex.in.node(&ir.Expr{Op: ir.OpIntToFP, SrcWidth: int(ef.Srcs[0].Width)}, child), nil
 
 	case trace.OpFPToInt:
 		child, err := ex.refExpr(di.Seq, ef.Srcs[0])
 		if err != nil {
 			return nil, err
 		}
-		return &ir.Expr{Op: ir.OpFPToInt, Width: w, Args: []*ir.Expr{child}}, nil
+		return ex.in.node(&ir.Expr{Op: ir.OpFPToInt, Width: w}, child), nil
 
 	case trace.OpSelectSet:
 		// setcc materializes a flag condition as a 0/1 byte: lift the
@@ -575,15 +623,15 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		return cond, nil
 	}
 
-	op, ok := simple[ef.Op]
-	if !ok {
+	op := simpleOps[ef.Op]
+	if op == ir.OpInvalid {
 		return nil, fmt.Errorf("%v at %#x (seq %d): effect op %v is not liftable", di.Op, di.Addr, di.Seq, ef.Op)
 	}
 	if len(ef.Srcs) != arity(op) {
 		return nil, fmt.Errorf("%v at %#x (seq %d): %v with %d operands reads the carry flag as data; flag-carrying chains (adc/sbb) are not liftable — the nearest supported pattern is plain add/sub at the full operand width",
 			di.Op, di.Addr, di.Seq, ef.Op, len(ef.Srcs))
 	}
-	args := make([]*ir.Expr, len(ef.Srcs))
+	var args [2]*ir.Expr
 	for i, src := range ef.Srcs {
 		child, err := ex.refExpr(di.Seq, src)
 		if err != nil {
@@ -591,7 +639,7 @@ func (ex *extractor) effectExpr(di *trace.DynInst, ef *trace.Effect) (*ir.Expr, 
 		}
 		args[i] = child
 	}
-	return &ir.Expr{Op: op, Width: w, Args: args}, nil
+	return ex.in.node(&ir.Expr{Op: op, Width: w}, args[:len(ef.Srcs)]...), nil
 }
 
 func arity(op ir.Op) int {
@@ -627,7 +675,7 @@ func (ex *extractor) inputLoad(ref trace.Ref) (*ir.Expr, bool) {
 		} else {
 			xi, ci = int(rem), 0
 		}
-		return ir.Load(xi, int(y0), ci), true
+		return ex.in.load(xi, int(y0), ci), true
 	}
 
 	best := (*ir.Expr)(nil)
@@ -650,7 +698,7 @@ func (ex *extractor) inputLoad(ref trace.Ref) (*ir.Expr, bool) {
 		}
 		if d := abs(dx) + abs(dy); d < bestDist {
 			bestDist = d
-			best = ir.Load(dx, dy, ci-ex.curC())
+			best = ex.in.load(dx, dy, ci-ex.curC())
 		}
 	}
 	if best == nil {
@@ -685,13 +733,13 @@ func (ex *extractor) dataSegment(ref trace.Ref) *isa.Segment {
 // index expression is reconstructed from the address registers (paper
 // section 4.7, table lookups such as Photoshop's brightness LUT).
 func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.Expr, error) {
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	if len(di.AddrRefs) == 0 || !di.HasMem || di.MemAddr != ref.Addr {
 		ex.nodes++
 		if ref.Float {
-			return ir.ConstF(ref.FVal), nil
+			return ex.in.konstF(ref.FVal), nil
 		}
-		return ir.Const(int64(ref.Val)), nil
+		return ex.in.konst(int64(ref.Val)), nil
 	}
 
 	// Rebuild the index expression from the static operand's address
@@ -725,27 +773,22 @@ func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.E
 			return nil, err
 		}
 		if memOp.Scale != 1 {
-			e = ir.Bin(ir.OpMul, 4, e, ir.Const(int64(memOp.Scale)))
+			e = ex.in.bin(ir.OpMul, 4, e, ex.in.konst(int64(memOp.Scale)))
 		}
 		terms = append(terms, e)
 	}
 	if disp := int64(memOp.Disp) - int64(seg.Addr); disp != 0 || len(terms) == 0 {
-		terms = append(terms, ir.Const(disp))
+		terms = append(terms, ex.in.konst(disp))
 	}
 	index := terms[0]
 	for _, t := range terms[1:] {
-		index = ir.Bin(ir.OpAdd, 4, index, t)
+		index = ex.in.bin(ir.OpAdd, 4, index, t)
 	}
 	if int(ref.Width) == 0 {
 		return nil, fmt.Errorf("seq %d: zero-width table access", seq)
 	}
 	ex.nodes++
-	return &ir.Expr{
-		Op:    ir.OpTable,
-		Table: seg.Data,
-		Elem:  int(ref.Width),
-		Args:  []*ir.Expr{index},
-	}, nil
+	return ex.in.node(&ir.Expr{Op: ir.OpTable, Table: seg.Data, Elem: int(ref.Width)}, index), nil
 }
 
 // tableInRef lifts a read of an earlier stage's reduction table as a
@@ -757,7 +800,7 @@ func (ex *extractor) segmentRef(seq int, ref trace.Ref, seg *isa.Segment) (*ir.E
 // observes a partially built table, which no bind-at-eval-time table
 // input can model.
 func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr, error) {
-	di := &ex.tr.Insts[seq]
+	di := ex.tr.At(seq)
 	if seq < tb.LastWrite {
 		return nil, fmt.Errorf("%v at %#x (seq %d) reads the reduction table at %#x before the table is fully written (final table write at seq %d); a consuming stage must run after the whole reduction",
 			di.Op, di.Addr, seq, ref.Addr, tb.LastWrite)
@@ -811,7 +854,7 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 
 	var idx *ir.Expr
 	if memOp.Index == isa.RegNone {
-		idx = ir.Const(residual / int64(tb.Elem))
+		idx = ex.in.konst(residual / int64(tb.Elem))
 	} else {
 		if int(memOp.Scale) != tb.Elem {
 			return nil, fmt.Errorf("seq %d: table read scales its index by %d but slots are %d bytes wide", seq, memOp.Scale, tb.Elem)
@@ -822,11 +865,11 @@ func (ex *extractor) tableInRef(seq int, ref trace.Ref, tb *TableDesc) (*ir.Expr
 		}
 		idx = e
 		if k := residual / int64(tb.Elem); k != 0 {
-			idx = ir.Bin(ir.OpAdd, 4, idx, ir.Const(k))
+			idx = ex.in.bin(ir.OpAdd, 4, idx, ex.in.konst(k))
 		}
 	}
 	ex.nodes++
-	return &ir.Expr{Op: ir.OpTableIn, Elem: tb.Elem, Args: []*ir.Expr{idx}}, nil
+	return ex.in.node(&ir.Expr{Op: ir.OpTableIn, Elem: tb.Elem}, idx), nil
 }
 
 // addrRegExpr resolves the captured pre-execution value reference of an

@@ -1,6 +1,10 @@
 package lift
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"helium/internal/ir"
@@ -102,4 +106,64 @@ func FuzzCanon(f *testing.F) {
 			t.Fatalf("canonicalization is not idempotent:\n first: %s\nsecond: %s", k1, k2)
 		}
 	})
+}
+
+// TestCanonNeverAddsLoads pins the precondition of collectGuards' fast
+// path, which drops a guard condition whose raw slice reads no input
+// without canonicalizing it: canonicalization may fold loads away but
+// never introduces one.  It runs over the FuzzCanon seed corpus and a few
+// thousand random decoder inputs.
+func TestCanonNeverAddsLoads(t *testing.T) {
+	var inputs [][]byte
+	dir := filepath.Join("testdata", "fuzz", "FuzzCanon")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if lit, ok := strings.CutPrefix(line, "[]byte("); ok {
+				s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+				if err != nil {
+					t.Fatalf("%s: %v", ent.Name(), err)
+				}
+				inputs = append(inputs, []byte(s))
+			}
+		}
+	}
+	if len(inputs) == 0 {
+		t.Fatal("no FuzzCanon seeds found")
+	}
+	rng := uint64(0x5eed)
+	for i := 0; i < 4000; i++ {
+		b := make([]byte, 8+i%120)
+		for j := range b {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			b[j] = byte(rng >> 56)
+		}
+		inputs = append(inputs, b)
+	}
+	withLoads, folded := 0, 0
+	for _, in := range inputs {
+		e := (&exprDecoder{data: in}).expr(0)
+		raw := containsLoad(e, map[*ir.Expr]bool{})
+		canon := containsLoad(Canonicalize(e), map[*ir.Expr]bool{})
+		if canon && !raw {
+			t.Fatalf("canonicalizing a load-free tree introduced a load:\n in: %s\nout: %s", e, Canonicalize(e))
+		}
+		if raw {
+			withLoads++
+			if !canon {
+				folded++
+			}
+		}
+	}
+	t.Logf("%d trees, %d with loads, %d of those folded to load-free", len(inputs), withLoads, folded)
+	if withLoads == 0 {
+		t.Fatal("no generated tree reads an input; the property was never exercised")
+	}
 }

@@ -220,7 +220,7 @@ func Lift(name string, t Target) (*Result, error) {
 		Kernel:     last.Kernel,
 		Reduction:  last.Red,
 		Dump:       tres.Dump,
-		TraceInsts: len(tres.Trace.Insts),
+		TraceInsts: tres.Trace.Len(),
 		TraceSteps: tres.Steps,
 		Samples:    samples,
 		PhaseTimes: spans,
@@ -244,6 +244,9 @@ type gtree struct {
 // groupKey renders a group's identity: the canonical expression key plus
 // the sorted guard assignment.
 func groupKey(exprKey string, guards map[string]guardVal) string {
+	if len(guards) == 0 {
+		return exprKey
+	}
 	keys := make([]string, 0, len(guards))
 	for k := range guards {
 		keys = append(keys, k)
@@ -266,8 +269,10 @@ func groupKey(exprKey string, guards map[string]guardVal) string {
 // unify canonicalizes all sample trees, merges predicated families into
 // select trees, demands a single tree per channel, and assembles the
 // lifted kernel with stencil offsets centered on the input pixel
-// corresponding to each output pixel.
+// corresponding to each output pixel.  One canonicalizer serves the whole
+// stage, so the samples' shared extractor nodes are rewritten once.
 func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Duration) (*ir.Kernel, error) {
+	cz := newCanonicalizer()
 	channels := bufs.Out.Channels
 	groups := make([]map[string]*gtree, channels)
 	for c := range groups {
@@ -275,13 +280,16 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 	}
 	for _, st := range trees {
 		tc := time.Now()
-		canon := Canonicalize(st.Expr)
+		canon := cz.canon(st.Expr)
 		*canonDur += time.Since(tc)
-		guards := make(map[string]guardVal, len(st.Guards))
+		var guards map[string]guardVal
+		if len(st.Guards) > 0 {
+			guards = make(map[string]guardVal, len(st.Guards))
+		}
 		for _, g := range st.Guards {
 			guards[g.Key] = guardVal{cond: g.Cond, taken: g.Taken}
 		}
-		key := groupKey(canon.Key(), guards)
+		key := groupKey(cz.key(canon), guards)
 		g := groups[st.C][key]
 		if g == nil {
 			g = &gtree{expr: canon, guards: guards}
@@ -301,12 +309,12 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 		for i, k := range keys {
 			gs[i] = gm[k]
 		}
-		merged, err := mergeGroups(gs)
+		merged, err := mergeGroups(cz, gs)
 		if err != nil {
 			return nil, fmt.Errorf("lift: channel %d: %w", c, err)
 		}
 		tc := time.Now()
-		reps[c] = Canonicalize(merged)
+		reps[c] = cz.canon(merged)
 		*canonDur += time.Since(tc)
 	}
 
@@ -328,11 +336,12 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 	}
 	ox := (minX + maxX) / 2
 	oy := (minY + maxY) / 2
-	for _, r := range reps {
-		visitLoads(r, func(l *ir.Expr) {
-			l.DX -= ox
-			l.DY -= oy
-		})
+	// Canonical nodes are shared (between samples, channels and the
+	// canonicalizer's memo), so the shift builds new load nodes instead
+	// of moving the old ones.
+	in, moved := newInterner(), make(map[*ir.Expr]*ir.Expr)
+	for c, r := range reps {
+		reps[c] = shiftLoads(in, r, -ox, -oy, moved)
 	}
 
 	return &ir.Kernel{
@@ -356,8 +365,8 @@ func unify(name string, bufs *Buffers, trees []SampleTree, canonDur *time.Durati
 // When every deciding group agrees on one outcome the condition never
 // diverged on this input; it is dropped, and the bit-exact differential
 // verification downstream gates the elision.
-func mergeGroups(groups []*gtree) (*ir.Expr, error) {
-	groups = dedupeGroups(groups)
+func mergeGroups(cz *canonicalizer, groups []*gtree) (*ir.Expr, error) {
+	groups = dedupeGroups(cz, groups)
 	bare := true
 	for _, g := range groups {
 		if len(g.guards) > 0 {
@@ -417,13 +426,13 @@ func mergeGroups(groups []*gtree) (*ir.Expr, error) {
 		for _, g := range groups {
 			all = append(all, stripGuard(g, best))
 		}
-		return mergeGroups(all)
+		return mergeGroups(cz, all)
 	}
-	t, err := mergeGroups(tg)
+	t, err := mergeGroups(cz, tg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := mergeGroups(fg)
+	f, err := mergeGroups(cz, fg)
 	if err != nil {
 		return nil, err
 	}
@@ -443,11 +452,11 @@ func stripGuard(g *gtree, key string) *gtree {
 
 // dedupeGroups merges groups that became identical after guard stripping
 // (duplicated ambiguous groups meeting again on one side of a split).
-func dedupeGroups(groups []*gtree) []*gtree {
+func dedupeGroups(cz *canonicalizer, groups []*gtree) []*gtree {
 	byKey := make(map[string]*gtree)
 	var keys []string
 	for _, g := range groups {
-		k := groupKey(g.expr.Key(), g.guards)
+		k := groupKey(cz.key(g.expr), g.guards)
 		if prev, ok := byKey[k]; ok {
 			prev.count += g.count
 			continue
@@ -463,8 +472,9 @@ func dedupeGroups(groups []*gtree) []*gtree {
 }
 
 // visitLoads calls fn once per distinct load node.  The visited-set makes
-// shared-subexpression DAGs (which the extractor's memo produces) linear
-// to walk and keeps fn from mutating a shared load twice.
+// shared-subexpression DAGs (which the extractor's memo and hash-consing
+// produce) linear to walk.  Loads may be shared between trees: fn must not
+// mutate them.
 func visitLoads(e *ir.Expr, fn func(*ir.Expr)) {
 	seen := make(map[*ir.Expr]bool)
 	var walk func(*ir.Expr)

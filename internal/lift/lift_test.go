@@ -502,3 +502,31 @@ func TestNonPositiveExtentsRejected(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLiftCorpus is one cold lift of the whole corpus per iteration:
+// every kernel at 40x24, timed over Lift, Verify and VerifyCompiled(0) —
+// the lift-corpus workload of perfbench without its harness, so the lift
+// layers can be profiled (-cpuprofile, -memprofile) on their own.
+func BenchmarkLiftCorpus(b *testing.B) {
+	kernels := legacy.Kernels()
+	tgts := make([]lift.Target, len(kernels))
+	for i, k := range kernels {
+		tgts[i] = target(k.Instantiate(legacy.Config{Width: 40, Height: 24, Seed: 3}))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, k := range kernels {
+			res, err := lift.Lift(k.Name, tgts[j])
+			if err != nil {
+				b.Fatalf("%s: Lift: %v", k.Name, err)
+			}
+			if err := res.Verify(); err != nil {
+				b.Fatalf("%s: Verify: %v", k.Name, err)
+			}
+			if _, err := res.VerifyCompiled(0); err != nil {
+				b.Fatalf("%s: VerifyCompiled: %v", k.Name, err)
+			}
+		}
+	}
+}

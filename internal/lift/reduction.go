@@ -48,8 +48,8 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	// is the slot size.
 	elem := 0
 	var initSeqs, updSeqs []redEvent
-	for i := range tr.Insts {
-		di := &tr.Insts[i]
+	for i := 0; i < tr.Len(); i++ {
+		di := tr.At(i)
 		for e := range di.Effects {
 			ef := &di.Effects[e]
 			d := ef.Dst
@@ -81,11 +81,11 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	// Per-slot initial values, from the identity stores that precede the
 	// accumulation (uninitialized slots keep whatever the dump read: the
 	// legacy binary never defined them, so neither do we — reject).
-	ex := &extractor{tr: tr, prog: prog, bufs: &Buffers{In: in}, abs: true}
+	ex := newExtractor(tr, prog, &Buffers{In: in}, true)
 	init := make([]uint64, bins)
 	seenInit := make([]bool, bins)
 	for _, ev := range initSeqs {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		ef := findEffect(di, base+uint64(ev.slot*elem), uint8(elem))
 		if ef == nil {
 			return nil, nil, 0, fmt.Errorf("lift: initializer at seq %d writes only part of slot %d", ev.seq, ev.slot)
@@ -124,7 +124,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	}
 
 	updateDelta := func(ev redEvent) error {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		slotAddr := base + uint64(ev.slot*elem)
 		ef := findEffect(di, slotAddr, uint8(elem))
 		if ef == nil {
@@ -158,7 +158,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 	}
 
 	updateIndex := func(ev redEvent) error {
-		di := &tr.Insts[ev.seq]
+		di := tr.At(ev.seq)
 		slotAddr := base + uint64(ev.slot*elem)
 		idx, px, py, err := ex.indexExpr(di, slotAddr, base, elem)
 		if err != nil {
@@ -166,7 +166,7 @@ func recognizeReduction(name string, tr *trace.InstTrace, prog *isa.Program, in 
 		}
 		if indexExpr == nil {
 			indexExpr = idx
-		} else if indexExpr.Key() != idx.Key() {
+		} else if ex.canon.key(indexExpr) != ex.canon.key(idx) {
 			return fmt.Errorf("lift: update at seq %d computes index %s, others %s; index expressions did not collapse",
 				ev.seq, idx, indexExpr)
 		}
@@ -248,13 +248,12 @@ func suffixRuns(upd []redEvent, bins int) ([]redEvent, error) {
 // sliceConst slices a reference and demands it canonicalize to an integer
 // constant.
 func (ex *extractor) sliceConst(seq int, ref trace.Ref) (int64, error) {
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes, ex.limit = 0, maxTreeNodes
+	ex.startSlice()
 	e, err := ex.refExpr(seq, ref)
 	if err != nil {
 		return 0, err
 	}
-	c := Canonicalize(e)
+	c := ex.canon.canon(e)
 	if c.Op != ir.OpConst {
 		return 0, fmt.Errorf("value %s does not reduce to a constant", c)
 	}
@@ -289,8 +288,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 		return nil, 0, 0, fmt.Errorf("update %v at %#x scales its index by %d but slots are %d bytes wide", di.Op, di.Addr, memOp.Scale, elem)
 	}
 
-	ex.memo = make(map[memoKey]*ir.Expr)
-	ex.nodes, ex.limit = 0, maxTreeNodes
+	ex.startSlice()
 	e, err := ex.addrRegExpr(di.Seq, di, memOp.Index)
 	if err != nil {
 		return nil, 0, 0, err
@@ -316,7 +314,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 		return nil, 0, 0, fmt.Errorf("update at %#x: address residual %d is not slot-aligned", di.Addr, residual)
 	}
 	if k := residual / int64(elem); k != 0 {
-		e = ir.Bin(ir.OpAdd, 4, e, ir.Const(k))
+		e = ex.in.bin(ir.OpAdd, 4, e, ex.in.konst(k))
 	}
 
 	// The slice carries absolute input loads; exactly one pixel must
@@ -336,6 +334,7 @@ func (ex *extractor) indexExpr(di *trace.DynInst, slotAddr, base uint64, elem in
 	if px < 0 {
 		return nil, 0, 0, fmt.Errorf("update at %#x has an index independent of the input; not a data reduction", di.Addr)
 	}
-	visitLoads(e, func(l *ir.Expr) { l.DX, l.DY = 0, 0 })
-	return Canonicalize(e), px, py, nil
+	// Every load sits at (px, py): move them to the relative origin.
+	e = shiftLoads(ex.in, e, -px, -py, make(map[*ir.Expr]*ir.Expr))
+	return ex.canon.canon(e), px, py, nil
 }

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"helium/internal/isa"
@@ -51,16 +52,18 @@ func IsRegAddr(addr uint64) bool { return addr >= RegSpaceBase }
 // byte range in the unified address space together with the value observed
 // there, or an immediate.
 type Ref struct {
-	Space Space
 	// Addr is the unified address of the first byte (unused for SpaceImm).
 	Addr uint64
-	// Width is the width of the reference in bytes.
-	Width uint8
 	// Val is the integer value read or written (zero-extended), or the
 	// immediate value for SpaceImm.
 	Val uint64
 	// FVal is the floating point value for float references.
 	FVal float64
+	// Space is the kind of location.  (The one-byte fields sit last so a
+	// Ref packs into 32 bytes: traces hold millions of them.)
+	Space Space
+	// Width is the width of the reference in bytes.
+	Width uint8
 	// Float marks references to floating point data.
 	Float bool
 }
@@ -100,8 +103,8 @@ func (r Ref) String() string {
 // code localization (paper section 3.1): the static instruction address,
 // the absolute address touched, the access width and the direction.
 type MemAccess struct {
-	InstAddr uint32
 	Addr     uint64
+	InstAddr uint32
 	Width    uint8
 	Write    bool
 }
@@ -180,12 +183,6 @@ type Effect struct {
 type DynInst struct {
 	// Seq is the position of the record in the trace.
 	Seq int
-	// Addr is the static instruction address.
-	Addr uint32
-	// Op is the ISA operation executed.
-	Op isa.Opcode
-	// Width is the operation width in bytes.
-	Width uint8
 	// Effects are the architectural assignments the instruction performed.
 	Effects []Effect
 	// AddrRefs are the register references used to form memory operand
@@ -196,12 +193,18 @@ type DynInst struct {
 	AddrRefs []Ref
 	// MemAddr is the absolute address of the memory operand, if any.
 	MemAddr uint64
+	// Sym is the imported symbol for external calls.
+	Sym string
+	// Addr is the static instruction address.
+	Addr uint32
+	// Op is the ISA operation executed.
+	Op isa.Opcode
+	// Width is the operation width in bytes.
+	Width uint8
 	// HasMem reports whether the instruction had a memory operand.
 	HasMem bool
 	// Taken records the outcome of conditional jumps.
 	Taken bool
-	// Sym is the imported symbol for external calls.
-	Sym string
 }
 
 // Sink consumes dynamic instruction records as the tracer produces them.
@@ -222,38 +225,188 @@ func (f SinkFunc) Emit(di DynInst) error { return f(di) }
 // InstTrace is a captured instruction trace together with the write index
 // needed by the backward analysis.
 type InstTrace struct {
-	Insts []DynInst
+	// insts holds the records in chunks of instChunk: a full chunk is
+	// kept and a fresh one started, so growing the trace never copies a
+	// record.  The records' Effects, Srcs and AddrRefs point into the
+	// current chunks of two more slabs, effects and refs, which grow the
+	// same way.
+	insts   [][]DynInst
+	n       int
+	effects []Effect
+	refs    []Ref
 
-	// writesAt maps a unified byte address to the ordered list of trace
-	// sequence numbers that wrote that byte.
-	writesAt map[uint64][]int
+	// writes is the write index, nil until built and after every Emit.
+	writes *writeIndex
 }
 
-// Emit appends a record, making InstTrace the batch-collecting Sink.  The
-// write index is invalidated; call BuildWriteIndex again after the trace is
+// Slab chunk sizes, in elements.  A record with more effects or refs than
+// a chunk holds gets a chunk of its own size.
+const (
+	instShift   = 10
+	instChunk   = 1 << instShift
+	effectChunk = 2048
+	refChunk    = 4096
+)
+
+// Len returns the number of records in the trace.
+func (t *InstTrace) Len() int { return t.n }
+
+// At returns the record at trace position i (0 <= i < Len()).  Records
+// stay where they are as the trace grows, so the pointer remains valid.
+func (t *InstTrace) At(i int) *DynInst {
+	if uint(i) >= uint(t.n) {
+		panic(fmt.Sprintf("trace: record %d out of range [0,%d)", i, t.n))
+	}
+	return &t.insts[i>>instShift][i&(instChunk-1)]
+}
+
+// Emit appends a copy of the record, making InstTrace the batch-collecting
+// Sink: the record's Effects (with their Srcs) and AddrRefs are copied into
+// the trace's own slabs, so the producer may reuse its buffers.  The write
+// index is invalidated; call BuildWriteIndex again after the trace is
 // complete.
 func (t *InstTrace) Emit(di DynInst) error {
-	t.Insts = append(t.Insts, di)
-	t.writesAt = nil
+	di.Effects = t.copyEffects(di.Effects)
+	di.AddrRefs = t.copyRefs(di.AddrRefs)
+	if t.n&(instChunk-1) == 0 {
+		t.insts = append(t.insts, make([]DynInst, 0, instChunk))
+	}
+	last := &t.insts[len(t.insts)-1]
+	*last = append(*last, di)
+	t.n++
+	t.writes = nil
 	return nil
+}
+
+// copyEffects copies src, and every effect's Srcs, into the slabs.
+func (t *InstTrace) copyEffects(src []Effect) []Effect {
+	if len(src) == 0 {
+		return src[:0:0]
+	}
+	if cap(t.effects)-len(t.effects) < len(src) {
+		t.effects = make([]Effect, 0, max(effectChunk, len(src)))
+	}
+	start := len(t.effects)
+	for i, ef := range src {
+		if i > 0 && sameSlice(ef.Srcs, src[i-1].Srcs) {
+			// Effects sharing one operand list keep sharing it.
+			ef.Srcs = t.effects[len(t.effects)-1].Srcs
+		} else {
+			ef.Srcs = t.copyRefs(ef.Srcs)
+		}
+		t.effects = append(t.effects, ef)
+	}
+	end := len(t.effects)
+	return t.effects[start:end:end]
+}
+
+// sameSlice reports whether a and b are the same non-empty slice.
+func sameSlice(a, b []Ref) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// copyRefs copies src into the ref slab.
+func (t *InstTrace) copyRefs(src []Ref) []Ref {
+	if len(src) == 0 {
+		return src[:0:0]
+	}
+	if cap(t.refs)-len(t.refs) < len(src) {
+		t.refs = make([]Ref, 0, max(refChunk, len(src)))
+	}
+	start := len(t.refs)
+	t.refs = append(t.refs, src...)
+	end := len(t.refs)
+	return t.refs[start:end:end]
+}
+
+// writeIndex lists, for every written byte of the unified address space,
+// the trace sequence numbers that wrote it, in trace order.  All lists
+// share one array: slot s's writers are seqs[rows[s].lo:rows[s].hi].
+// Register and flags bytes, which nearly every instruction writes, have
+// fixed slots (their offset from RegSpaceBase); memory bytes get slots
+// numbered on first sight, so the bytes of one store get consecutive
+// slots.  A slot whose writers are exactly the previous slot's (the bytes
+// of a register or store always written together) shares its row, which
+// lets LastWriteBefore search a multi-byte range once.
+type writeIndex struct {
+	mem  map[uint64]int32
+	rows []span
+	seqs []int32
+}
+
+// span is a [lo, hi) range of writeIndex.seqs.
+type span struct{ lo, hi int32 }
+
+// regSlots covers every register and flags byte: a Reg is one byte wide,
+// so RegAddr stays below RegSpaceBase + 256*8 and flags sit at the end.
+const regSlots = 256*8 + 8
+
+// slot returns the slot of a byte address, numbering unseen memory bytes
+// when add is set (-1 when the byte is unseen and add is clear).
+func (w *writeIndex) slot(a uint64, add bool) int32 {
+	if a-RegSpaceBase < regSlots {
+		return int32(a - RegSpaceBase)
+	}
+	s, ok := w.mem[a]
+	if !ok {
+		if !add {
+			return -1
+		}
+		s = int32(regSlots + len(w.mem))
+		w.mem[a] = s
+	}
+	return s
+}
+
+// forEachWrite calls fn for every byte every effect of the trace writes,
+// in trace order.
+func (t *InstTrace) forEachWrite(fn func(addr uint64, seq int)) {
+	for i := 0; i < t.n; i++ {
+		di := t.At(i)
+		for j := range di.Effects {
+			d := &di.Effects[j].Dst
+			if d.Space == SpaceImm || d.Space == SpaceNone {
+				continue
+			}
+			for b := uint64(0); b < uint64(d.Width); b++ {
+				fn(d.Addr+b, di.Seq)
+			}
+		}
+	}
 }
 
 // BuildWriteIndex constructs the per-byte write index used by
 // LastWriteBefore.  It must be called once after the trace is complete.
 func (t *InstTrace) BuildWriteIndex() {
-	t.writesAt = make(map[uint64][]int)
-	for _, di := range t.Insts {
-		for _, ef := range di.Effects {
-			d := ef.Dst
-			if d.Space == SpaceImm || d.Space == SpaceNone {
-				continue
-			}
-			for b := uint64(0); b < uint64(d.Width); b++ {
-				a := d.Addr + b
-				t.writesAt[a] = append(t.writesAt[a], di.Seq)
-			}
+	w := &writeIndex{mem: make(map[uint64]int32)}
+	// Count the writes per slot, lay the rows out by prefix sums, then
+	// fill them in trace order.
+	counts := make([]int32, regSlots)
+	t.forEachWrite(func(a uint64, _ int) {
+		s := w.slot(a, true)
+		if int(s) >= len(counts) {
+			counts = append(counts, make([]int32, int(s)+1-len(counts))...)
+		}
+		counts[s]++
+	})
+	w.rows = make([]span, len(counts))
+	total := int32(0)
+	for s, n := range counts {
+		w.rows[s] = span{total, total}
+		total += n
+	}
+	w.seqs = make([]int32, total)
+	t.forEachWrite(func(a uint64, seq int) {
+		r := &w.rows[w.slot(a, false)]
+		w.seqs[r.hi] = int32(seq)
+		r.hi++
+	})
+	for s := 1; s < len(w.rows); s++ {
+		if prev, cur := w.rows[s-1], w.rows[s]; slices.Equal(w.seqs[prev.lo:prev.hi], w.seqs[cur.lo:cur.hi]) {
+			w.rows[s] = prev
 		}
 	}
+	t.writes = w
 }
 
 // EnsureWriteIndex builds the write index only if it has not been built
@@ -261,9 +414,19 @@ func (t *InstTrace) BuildWriteIndex() {
 // goroutines: the index itself is read-only once built, but the lazy
 // first build is not.
 func (t *InstTrace) EnsureWriteIndex() {
-	if t.writesAt == nil {
+	if t.writes == nil {
 		t.BuildWriteIndex()
 	}
+}
+
+// row returns the range of seqs listing the writers of one byte (empty
+// when none wrote it).
+func (w *writeIndex) row(a uint64) span {
+	s := w.slot(a, false)
+	if s < 0 || int(s) >= len(w.rows) {
+		return span{}
+	}
+	return w.rows[s]
 }
 
 // LastWriteBefore returns the sequence number of the most recent instruction
@@ -272,16 +435,28 @@ func (t *InstTrace) EnsureWriteIndex() {
 // the latest of them is returned; the backward analysis then discovers the
 // partial overlap while matching widths.
 func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, bool) {
-	if t.writesAt == nil {
-		t.BuildWriteIndex()
-	}
+	t.EnsureWriteIndex()
 	best := -1
+	prev := span{-1, -1}
 	for b := uint64(0); b < uint64(width); b++ {
-		ws := t.writesAt[addr+b]
+		r := t.writes.row(addr + b)
+		if r == prev {
+			continue // same writers as the previous byte
+		}
+		prev = r
+		ws := t.writes.seqs[r.lo:r.hi]
 		// Binary search for the last write strictly before seq.
-		i := sort.SearchInts(ws, seq)
-		if i > 0 && ws[i-1] > best {
-			best = ws[i-1]
+		lo, hi := 0, len(ws)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if int(ws[mid]) < seq {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > 0 && int(ws[lo-1]) > best {
+			best = int(ws[lo-1])
 		}
 	}
 	if best < 0 {
@@ -291,12 +466,19 @@ func (t *InstTrace) LastWriteBefore(seq int, addr uint64, width uint8) (int, boo
 }
 
 // WritesTo returns all trace sequence numbers that wrote the exact byte
-// address, in order.
+// address, in order, as a fresh slice (nil when none did).
 func (t *InstTrace) WritesTo(addr uint64) []int {
-	if t.writesAt == nil {
-		t.BuildWriteIndex()
+	t.EnsureWriteIndex()
+	r := t.writes.row(addr)
+	ws := t.writes.seqs[r.lo:r.hi]
+	if len(ws) == 0 {
+		return nil
 	}
-	return t.writesAt[addr]
+	out := make([]int, len(ws))
+	for i, s := range ws {
+		out[i] = int(s)
+	}
+	return out
 }
 
 // MemDump is a page-granularity dump of the memory touched by candidate

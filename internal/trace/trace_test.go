@@ -172,3 +172,60 @@ func TestMemDump(t *testing.T) {
 		t.Errorf("Size = %d", d.Size())
 	}
 }
+
+// TestEmitCopiesProducerBuffers pins the Sink ownership contract from the
+// batch side: a producer (the VM's tracer) reuses its record buffers for
+// the next instruction, so InstTrace.Emit must copy Effects, their Srcs
+// and AddrRefs rather than keep the caller's slices.
+func TestEmitCopiesProducerBuffers(t *testing.T) {
+	srcs := []Ref{{Space: SpaceReg, Addr: RegAddr(isa.EAX), Width: 4, Val: 7}, {Space: SpaceImm, Val: 3}}
+	effects := []Effect{
+		{Dst: Ref{Space: SpaceMem, Addr: 0x2000, Width: 4, Val: 10}, Op: OpAdd, Srcs: srcs},
+		{Dst: Ref{Space: SpaceFlags, Addr: FlagsAddr, Width: 4}, Op: OpAdd, Srcs: srcs[:1]},
+	}
+	addrRefs := []Ref{{Space: SpaceReg, Addr: RegAddr(isa.EBX), Width: 4, Val: 0x2000}}
+	tr := &InstTrace{}
+	if err := tr.Emit(DynInst{Seq: 0, Effects: effects, AddrRefs: addrRefs, HasMem: true, MemAddr: 0x2000}); err != nil {
+		t.Fatal(err)
+	}
+	tr.BuildWriteIndex()
+
+	// The producer reuses its buffers for the next instruction.
+	for i := range srcs {
+		srcs[i] = Ref{Space: SpaceMem, Addr: 0x9999, Width: 1, Val: 99}
+	}
+	for i := range effects {
+		effects[i] = Effect{Dst: Ref{Space: SpaceMem, Addr: 0x5000, Width: 2}, Op: OpXor}
+	}
+	addrRefs[0] = Ref{Space: SpaceReg, Addr: RegAddr(isa.ESI), Width: 4, Val: 1}
+
+	di := tr.At(0)
+	if len(di.Effects) != 2 || di.Effects[0].Dst.Addr != 0x2000 || di.Effects[0].Op != OpAdd ||
+		di.Effects[1].Dst.Space != SpaceFlags {
+		t.Fatalf("Effects changed with the producer's buffer: %+v", di.Effects)
+	}
+	if s := di.Effects[0].Srcs; len(s) != 2 || s[0].Val != 7 || s[0].Addr != RegAddr(isa.EAX) || s[1].Space != SpaceImm || s[1].Val != 3 {
+		t.Fatalf("Srcs changed with the producer's buffer: %+v", s)
+	}
+	if s := di.Effects[1].Srcs; len(s) != 1 || s[0].Val != 7 {
+		t.Fatalf("second effect's Srcs changed with the producer's buffer: %+v", s)
+	}
+	if len(di.AddrRefs) != 1 || di.AddrRefs[0].Addr != RegAddr(isa.EBX) || di.AddrRefs[0].Val != 0x2000 {
+		t.Fatalf("AddrRefs changed with the producer's buffer: %+v", di.AddrRefs)
+	}
+	// The write index still reflects the record as emitted.
+	if ws := tr.WritesTo(0x2003); len(ws) != 1 || ws[0] != 0 {
+		t.Errorf("WritesTo(0x2003) = %v, want [0]", ws)
+	}
+	if w, ok := tr.LastWriteBefore(1, FlagsAddr, 4); !ok || w != 0 {
+		t.Errorf("flags writer = (%d,%v), want (0,true)", w, ok)
+	}
+	if _, ok := tr.LastWriteBefore(1, 0x5000, 2); ok {
+		t.Error("the producer's later effect leaked into the write index")
+	}
+	// Appending to one effect's Srcs must not clobber its neighbour's.
+	_ = append(di.Effects[0].Srcs, Ref{Val: 1234})
+	if s := di.Effects[1].Srcs; s[0].Val != 7 {
+		t.Errorf("appending to a copied Srcs overwrote the next effect's operands: %+v", s)
+	}
+}

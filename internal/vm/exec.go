@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"slices"
 
 	"helium/internal/isa"
 	"helium/internal/trace"
@@ -21,6 +22,12 @@ type stepRecord struct {
 	isBranch bool
 	sym      string
 	accesses []trace.MemAccess
+	// srcBuf backs every effect's Srcs for the current instruction, so
+	// recording an effect allocates nothing once the buffer has grown.
+	srcBuf []trace.Ref
+	// accessesOnly skips effect recording: a memory-tracing coverage run
+	// keeps only the accesses.
+	accessesOnly bool
 }
 
 func (r *stepRecord) reset() {
@@ -30,6 +37,7 @@ func (r *stepRecord) reset() {
 	r.effects = r.effects[:0]
 	r.addrRefs = r.addrRefs[:0]
 	r.accesses = r.accesses[:0]
+	r.srcBuf = r.srcBuf[:0]
 	r.memAddr = 0
 	r.hasMem = false
 	r.taken = false
@@ -38,12 +46,33 @@ func (r *stepRecord) reset() {
 }
 
 func (r *stepRecord) effect(dst trace.Ref, op trace.ExprOp, srcs ...trace.Ref) {
+	if r == nil || r.accessesOnly {
+		return
+	}
+	// An instruction's flags effect usually repeats its value effect's
+	// operands: share them (InstTrace.Emit keeps the sharing).
+	if n := len(r.effects); n > 0 && slices.Equal(r.effects[n-1].Srcs, srcs) {
+		r.effects = append(r.effects, trace.Effect{Dst: dst, Op: op, Srcs: r.effects[n-1].Srcs})
+		return
+	}
+	start := len(r.srcBuf)
+	r.srcBuf = append(r.srcBuf, srcs...)
+	// A full slice expression: appending to one effect's Srcs must never
+	// run into the next effect's operands.
+	r.effects = append(r.effects, trace.Effect{Dst: dst, Op: op, Srcs: r.srcBuf[start:len(r.srcBuf):len(r.srcBuf)]})
+}
+
+// mem records a memory operand of the instruction at instAddr: the
+// register references its address was formed from, its absolute address
+// and the access itself.
+func (r *stepRecord) mem(instAddr uint32, addr uint32, regs *addrRegs, width int, write bool) {
 	if r == nil {
 		return
 	}
-	cp := make([]trace.Ref, len(srcs))
-	copy(cp, srcs)
-	r.effects = append(r.effects, trace.Effect{Dst: dst, Op: op, Srcs: cp})
+	r.addrRefs = append(r.addrRefs, regs.refs[:regs.n]...)
+	r.memAddr = uint64(addr)
+	r.hasMem = true
+	r.access(instAddr, addr, width, write)
 }
 
 func (r *stepRecord) access(instAddr uint32, addr uint32, width int, write bool) {
@@ -84,22 +113,21 @@ func signExtend(v uint64, width int) int64 {
 }
 
 // operandValue reads an operand, returning its value, the Ref describing
-// it, and memory metadata when the operand is a memory reference.
-func (m *Machine) operandValue(inst isa.Inst, o isa.Operand, rec *stepRecord) (uint64, trace.Ref, error) {
+// it, and memory metadata when the operand is a memory reference.  An
+// untraced step (nil rec) gets no register Ref: nothing would record it.
+func (m *Machine) operandValue(in *isa.Inst, o isa.Operand, rec *stepRecord) (uint64, trace.Ref, error) {
 	switch o.Kind {
 	case isa.KindReg:
+		if rec == nil {
+			return m.readReg(o.Reg), trace.Ref{}, nil
+		}
 		return m.readReg(o.Reg), m.regRef(o.Reg), nil
 	case isa.KindImm:
 		return uint64(o.Imm), immRef(o.Imm), nil
 	case isa.KindMem:
-		addr, addrRefs := m.effectiveAddr(o)
+		addr, addrRefs := m.effectiveAddr(o, rec != nil)
 		v := m.Mem.Read(addr, o.Width)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(inst.Addr, addr, o.Width, false)
-		}
+		rec.mem(in.Addr, addr, &addrRefs, o.Width, false)
 		return v, memRef(addr, o.Width, v), nil
 	}
 	return 0, trace.Ref{}, m.faultf("unsupported operand kind %d", o.Kind)
@@ -107,11 +135,11 @@ func (m *Machine) operandValue(inst isa.Inst, o isa.Operand, rec *stepRecord) (u
 
 // operandFloat reads a floating point memory operand (width 4 or 8) or an
 // integer memory operand for FILD.
-func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (float64, trace.Ref, error) {
+func (m *Machine) operandFloat(in *isa.Inst, o isa.Operand, rec *stepRecord) (float64, trace.Ref, error) {
 	if o.Kind != isa.KindMem {
 		return 0, trace.Ref{}, m.faultf("float operand must be memory")
 	}
-	addr, addrRefs := m.effectiveAddr(o)
+	addr, addrRefs := m.effectiveAddr(o, rec != nil)
 	bits := m.Mem.Read(addr, o.Width)
 	var v float64
 	if o.Width == 4 {
@@ -119,33 +147,25 @@ func (m *Machine) operandFloat(inst isa.Inst, o isa.Operand, rec *stepRecord) (f
 	} else {
 		v = math.Float64frombits(bits)
 	}
-	if rec != nil {
-		rec.addrRefs = append(rec.addrRefs, addrRefs...)
-		rec.memAddr = uint64(addr)
-		rec.hasMem = true
-		rec.access(inst.Addr, addr, o.Width, false)
-	}
+	rec.mem(in.Addr, addr, &addrRefs, o.Width, false)
 	return v, memRefF(addr, o.Width, v), nil
 }
 
 // writeOperand writes v to a register or memory destination and returns the
-// Ref describing the write.
-func (m *Machine) writeOperand(inst isa.Inst, o isa.Operand, v uint64, rec *stepRecord) (trace.Ref, error) {
+// Ref describing the write (no register Ref for an untraced step).
+func (m *Machine) writeOperand(in *isa.Inst, o isa.Operand, v uint64, rec *stepRecord) (trace.Ref, error) {
 	switch o.Kind {
 	case isa.KindReg:
 		m.writeReg(o.Reg, maskWidth(v, o.Reg.Width()))
-		ref := m.regRef(o.Reg)
-		return ref, nil
+		if rec == nil {
+			return trace.Ref{}, nil
+		}
+		return m.regRef(o.Reg), nil
 	case isa.KindMem:
-		addr, addrRefs := m.effectiveAddr(o)
+		addr, addrRefs := m.effectiveAddr(o, rec != nil)
 		v = maskWidth(v, o.Width)
 		m.Mem.Write(addr, o.Width, v)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(inst.Addr, addr, o.Width, true)
-		}
+		rec.mem(in.Addr, addr, &addrRefs, o.Width, true)
 		return memRef(addr, o.Width, v), nil
 	}
 	return trace.Ref{}, m.faultf("cannot write operand kind %d", o.Kind)
@@ -223,11 +243,17 @@ func (m *Machine) step(rec *stepRecord) error {
 	if m.halted {
 		return m.faultf("machine is halted")
 	}
-	idx, ok := m.Prog.Lookup(m.eip)
-	if !ok {
-		return m.faultf("no instruction at eip")
+	idx, err := m.fetch()
+	if err != nil {
+		return err
 	}
-	in := m.Prog.Insts[idx]
+	return m.exec(idx, rec)
+}
+
+// exec executes instruction idx (the one at eip), optionally filling rec
+// with its effects and memory accesses.
+func (m *Machine) exec(idx int, rec *stepRecord) error {
+	in := &m.Prog.Insts[idx]
 	next := uint32(0)
 	if idx+1 < len(m.Prog.Insts) {
 		next = m.Prog.Insts[idx+1].Addr
@@ -284,31 +310,36 @@ func (m *Machine) step(rec *stepRecord) error {
 		rec.effect(dst, trace.OpSExt, src)
 
 	case isa.LEA:
-		addr, addrRefs := m.effectiveAddr(in.Src)
+		addr, addrRefs := m.effectiveAddr(in.Src, rec != nil)
 		dst, err := m.writeOperand(in, in.Dst, uint64(addr), rec)
 		if err != nil {
 			return err
 		}
 		// lea performs no memory access, so nothing is added to the memory
 		// trace, but the computation itself is data flow.
-		base := immRef(0)
-		if in.Src.Base != isa.RegNone {
-			base = m.regRefBefore(in.Src.Base, addrRefs)
+		if rec != nil {
+			base := immRef(0)
+			if in.Src.Base != isa.RegNone {
+				base = m.regRefBefore(in.Src.Base, addrRefs.refs[:addrRefs.n])
+			}
+			index := immRef(0)
+			if in.Src.Index != isa.RegNone {
+				index = m.regRefBefore(in.Src.Index, addrRefs.refs[:addrRefs.n])
+			}
+			rec.effect(dst, trace.OpLea, base, index, immRef(int64(in.Src.Scale)), immRef(int64(in.Src.Disp)))
 		}
-		index := immRef(0)
-		if in.Src.Index != isa.RegNone {
-			index = m.regRefBefore(in.Src.Index, addrRefs)
-		}
-		rec.effect(dst, trace.OpLea, base, index, immRef(int64(in.Src.Scale)), immRef(int64(in.Src.Disp)))
 
 	case isa.PUSH:
-		v, src, err := m.operandValue(in, in.Src, rec)
+		// Allow push with the operand in Dst for convenience.  (Choosing
+		// up front, rather than retrying after operandValue's fault, keeps
+		// the common Dst form from building an error per push.)
+		o := in.Src
+		if o.Kind != isa.KindReg && o.Kind != isa.KindImm && o.Kind != isa.KindMem {
+			o = in.Dst
+		}
+		v, src, err := m.operandValue(in, o, rec)
 		if err != nil {
-			// Allow push with the operand in Dst for convenience.
-			v, src, err = m.operandValue(in, in.Dst, rec)
-			if err != nil {
-				return err
-			}
+			return err
 		}
 		espOld := m.regRef(isa.ESP)
 		esp := m.regs[isa.ESP-isa.EAX] - 4
@@ -485,7 +516,7 @@ func (m *Machine) regRefBefore(r isa.Reg, refs []trace.Ref) trace.Ref {
 }
 
 // execBinary handles two-operand integer arithmetic and logic.
-func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execBinary(in *isa.Inst, rec *stepRecord) error {
 	// Three-operand imul: dst = src * imm.
 	if in.Op == isa.IMUL && in.Src2.Kind == isa.KindImm {
 		a, aref, err := m.operandValue(in, in.Src, rec)
@@ -573,7 +604,7 @@ func (m *Machine) execBinary(in isa.Inst, rec *stepRecord) error {
 }
 
 // execUnary handles single-operand integer instructions.
-func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execUnary(in *isa.Inst, rec *stepRecord) error {
 	a, aref, err := m.operandValue(in, in.Dst, rec)
 	if err != nil {
 		return err
@@ -613,7 +644,7 @@ func (m *Machine) execUnary(in isa.Inst, rec *stepRecord) error {
 }
 
 // execShift handles shift instructions; the count is an immediate or CL.
-func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execShift(in *isa.Inst, rec *stepRecord) error {
 	a, aref, err := m.operandValue(in, in.Dst, rec)
 	if err != nil {
 		return err
@@ -649,7 +680,7 @@ func (m *Machine) execShift(in isa.Inst, rec *stepRecord) error {
 }
 
 // execMulDiv handles the one-operand EDX:EAX multiply and divide forms.
-func (m *Machine) execMulDiv(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execMulDiv(in *isa.Inst, rec *stepRecord) error {
 	b, bref, err := m.operandValue(in, in.Dst, rec)
 	if err != nil {
 		return err
@@ -680,7 +711,7 @@ func (m *Machine) execMulDiv(in isa.Inst, rec *stepRecord) error {
 // execFloat handles the x87-style floating point subset.  Stack-relative
 // locations are resolved to physical registers here, so the trace already
 // contains renamed registers (paper section 4.5).
-func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
+func (m *Machine) execFloat(in *isa.Inst, rec *stepRecord) error {
 	switch in.Op {
 	case isa.FLDZ:
 		r := m.fpuPush(0)
@@ -698,14 +729,9 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fild requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, addrRefs := m.effectiveAddr(in.Dst, rec != nil)
 		iv := signExtend(m.Mem.Read(addr, in.Dst.Width), in.Dst.Width)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, false)
-		}
+		rec.mem(in.Addr, addr, &addrRefs, in.Dst.Width, false)
 		r := m.fpuPush(float64(iv))
 		rec.effect(m.regRef(r), trace.OpIntToFP, memRef(addr, in.Dst.Width, uint64(iv)))
 
@@ -713,7 +739,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fst requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, addrRefs := m.effectiveAddr(in.Dst, rec != nil)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		var bits uint64
@@ -723,12 +749,7 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 			bits = math.Float64bits(v)
 		}
 		m.Mem.Write(addr, in.Dst.Width, bits)
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, true)
-		}
+		rec.mem(in.Addr, addr, &addrRefs, in.Dst.Width, true)
 		rec.effect(memRefF(addr, in.Dst.Width, v), trace.OpIdentity, topRef)
 		if in.Op == isa.FSTP {
 			m.fpuPop()
@@ -738,17 +759,12 @@ func (m *Machine) execFloat(in isa.Inst, rec *stepRecord) error {
 		if in.Dst.Kind != isa.KindMem {
 			return m.faultf("fistp requires a memory operand")
 		}
-		addr, addrRefs := m.effectiveAddr(in.Dst)
+		addr, addrRefs := m.effectiveAddr(in.Dst, rec != nil)
 		topRef := m.regRef(m.fpuTopReg())
 		v := m.fpuTop()
 		iv := int64(math.RoundToEven(v))
 		m.Mem.Write(addr, in.Dst.Width, maskWidth(uint64(iv), in.Dst.Width))
-		if rec != nil {
-			rec.addrRefs = append(rec.addrRefs, addrRefs...)
-			rec.memAddr = uint64(addr)
-			rec.hasMem = true
-			rec.access(in.Addr, addr, in.Dst.Width, true)
-		}
+		rec.mem(in.Addr, addr, &addrRefs, in.Dst.Width, true)
 		rec.effect(memRef(addr, in.Dst.Width, maskWidth(uint64(iv), in.Dst.Width)), trace.OpFPToInt, topRef)
 		m.fpuPop()
 

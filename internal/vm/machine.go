@@ -80,7 +80,17 @@ type Machine struct {
 	callDepth int
 	halted    bool
 	steps     uint64
+
+	// code maps eip-codeBase to an instruction index plus one (zero: no
+	// instruction), so fetching costs an array read instead of a map
+	// lookup.  Nil when the program spans too much address space for a
+	// table; fetch then falls back to Prog.Lookup.
+	code     []int32
+	codeBase uint32
 }
+
+// maxCodeSpan bounds the address span the dense fetch table covers.
+const maxCodeSpan = 1 << 20
 
 // NewMachine returns a machine loaded with the program's data segments and
 // ready to run from the program entry point.
@@ -108,9 +118,49 @@ func (m *Machine) Reset() {
 	m.halted = false
 	m.callDepth = 0
 	m.steps = 0
+	m.buildCodeTable()
 	// Arrange for the outermost return to halt the machine.
 	m.regs[isa.ESP-isa.EAX] = StackTop
 	m.push32(retSentinel)
+}
+
+// buildCodeTable (re)builds the dense fetch table from the program's
+// instructions.  Like Prog.Lookup, a duplicated address resolves to its
+// last instruction.
+func (m *Machine) buildCodeTable() {
+	insts := m.Prog.Insts
+	m.code = nil
+	if len(insts) == 0 {
+		return
+	}
+	lo, hi := insts[0].Addr, insts[0].Addr
+	for i := range insts {
+		lo, hi = min(lo, insts[i].Addr), max(hi, insts[i].Addr)
+	}
+	if hi-lo >= maxCodeSpan {
+		return
+	}
+	m.code, m.codeBase = make([]int32, hi-lo+1), lo
+	for i := range insts {
+		m.code[insts[i].Addr-lo] = int32(i + 1)
+	}
+}
+
+// fetch returns the index of the instruction at eip.
+func (m *Machine) fetch() (int, error) {
+	if m.code == nil {
+		idx, ok := m.Prog.Lookup(m.eip)
+		if !ok {
+			return 0, m.faultf("no instruction at eip")
+		}
+		return idx, nil
+	}
+	if off := m.eip - m.codeBase; off < uint32(len(m.code)) {
+		if i := m.code[off]; i > 0 {
+			return int(i - 1), nil
+		}
+	}
+	return 0, m.faultf("no instruction at eip")
 }
 
 // Steps returns the number of instructions executed since the last Reset.
@@ -221,23 +271,34 @@ func (m *Machine) pop32() uint32 {
 	return v
 }
 
-// effectiveAddr computes the absolute address of a memory operand and
-// returns the register references used to form it.
-func (m *Machine) effectiveAddr(o isa.Operand) (uint32, []trace.Ref) {
+// addrRegs holds the (at most two) register references a memory operand's
+// address was formed from: base, then index.
+type addrRegs struct {
+	refs [2]trace.Ref
+	n    int
+}
+
+// effectiveAddr computes the absolute address of a memory operand and,
+// when refs is set, the register references used to form it.
+func (m *Machine) effectiveAddr(o isa.Operand, refs bool) (uint32, addrRegs) {
 	var addr uint32
-	var refs []trace.Ref
+	var regs addrRegs
 	if o.Base != isa.RegNone {
-		v := uint32(m.readReg(o.Base))
-		addr += v
-		refs = append(refs, m.regRef(o.Base))
+		addr += uint32(m.readReg(o.Base))
+		if refs {
+			regs.refs[regs.n] = m.regRef(o.Base)
+			regs.n++
+		}
 	}
 	if o.Index != isa.RegNone {
-		v := uint32(m.readReg(o.Index))
-		addr += v * uint32(o.Scale)
-		refs = append(refs, m.regRef(o.Index))
+		addr += uint32(m.readReg(o.Index)) * uint32(o.Scale)
+		if refs {
+			regs.refs[regs.n] = m.regRef(o.Index)
+			regs.n++
+		}
 	}
 	addr += uint32(o.Disp)
-	return addr, refs
+	return addr, regs
 }
 
 // regRef builds a trace.Ref for the current value of a register view.

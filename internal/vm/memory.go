@@ -52,6 +52,17 @@ func (m *Memory) StoreByte(addr uint32, v byte) {
 // integer.  Width must be 1, 2, 4 or 8.
 func (m *Memory) Read(addr uint32, width int) uint64 {
 	var v uint64
+	if off := int(addr & (pageSize - 1)); width > 0 && off+width <= pageSize {
+		// The common case: one page, one lookup.
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
+		for i := 0; i < width; i++ {
+			v |= uint64(p[off+i]) << (8 * i)
+		}
+		return v
+	}
 	for i := 0; i < width; i++ {
 		v |= uint64(m.LoadByte(addr+uint32(i))) << (8 * i)
 	}
@@ -60,6 +71,13 @@ func (m *Memory) Read(addr uint32, width int) uint64 {
 
 // Write stores width bytes of v at addr, little-endian.
 func (m *Memory) Write(addr uint32, width int, v uint64) {
+	if off := int(addr & (pageSize - 1)); width > 0 && off+width <= pageSize {
+		p := m.page(addr, true)
+		for i := 0; i < width; i++ {
+			p[off+i] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := 0; i < width; i++ {
 		m.StoreByte(addr+uint32(i), byte(v>>(8*i)))
 	}

@@ -72,13 +72,19 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
+	// Leader flags by instruction index: the loop below reads one per
+	// step.
 	leaders := m.Prog.Leaders()
+	isLeader := make([]bool, len(m.Prog.Insts))
+	for i := range m.Prog.Insts {
+		isLeader[i] = leaders[m.Prog.Insts[i].Addr]
+	}
 	res := &CoverageResult{
 		Blocks:      make(map[uint32]uint64),
 		Edges:       make(map[Edge]uint64),
 		CallTargets: make(map[uint32]map[uint32]bool),
 	}
-	rec := &stepRecord{}
+	rec := &stepRecord{accessesOnly: true}
 	var curBlock uint32
 	var haveBlock bool
 	curInstrumented := true
@@ -87,8 +93,12 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 		if m.steps >= maxSteps {
 			return nil, fmt.Errorf("vm: %s exceeded %d steps during coverage run", m.Prog.Name, maxSteps)
 		}
+		idx, err := m.fetch()
+		if err != nil {
+			return nil, err
+		}
 		eip := m.eip
-		if leaders[eip] {
+		if isLeader[idx] {
 			instrumented := opts.InstrumentBlocks == nil || opts.InstrumentBlocks[eip]
 			if instrumented {
 				res.Blocks[eip]++
@@ -98,11 +108,7 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 			}
 			curBlock, haveBlock, curInstrumented = eip, true, instrumented
 		}
-		idx, ok := m.Prog.Lookup(eip)
-		if !ok {
-			return nil, m.faultf("no instruction at eip")
-		}
-		in := m.Prog.Insts[idx]
+		in := &m.Prog.Insts[idx]
 		if in.Op == isa.CALL && in.Sym == "" && curInstrumented {
 			if res.CallTargets[in.Addr] == nil {
 				res.CallTargets[in.Addr] = make(map[uint32]bool)
@@ -115,7 +121,7 @@ func (m *Machine) RunCoverage(opts CoverageOptions) (*CoverageResult, error) {
 			rec.reset()
 			r = rec
 		}
-		if err := m.step(r); err != nil {
+		if err := m.exec(idx, r); err != nil {
 			return nil, err
 		}
 		if r != nil && len(r.accesses) > 0 {
@@ -171,9 +177,12 @@ type TraceResult struct {
 
 // RunTraceStream executes the program from its current state until it
 // halts, streaming one trace.DynInst per dynamic instruction executed
-// inside the filter function (including its callees) to sink.  The memory
-// dump is still accumulated here because only the emulator can snapshot
-// pages before later writes disturb them.
+// inside the filter function (including its callees) to sink.  Each
+// record's Effects (with their Srcs) and AddrRefs live in buffers the
+// tracer reuses for the next instruction, so a sink copies what it keeps
+// (the trace.Sink contract; InstTrace.Emit does).  The memory dump is
+// still accumulated here because only the emulator can snapshot pages
+// before later writes disturb them.
 func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamResult, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
@@ -221,11 +230,13 @@ func (m *Machine) RunTraceStream(opts TraceOptions, sink trace.Sink) (*StreamRes
 				MemAddr: r.memAddr,
 				HasMem:  r.hasMem,
 			}
+			// The record's buffers are reused for the next instruction; the
+			// Sink contract has the sink copy whatever it keeps.
 			if len(r.effects) > 0 {
-				di.Effects = append([]trace.Effect(nil), r.effects...)
+				di.Effects = r.effects
 			}
 			if len(r.addrRefs) > 0 {
-				di.AddrRefs = append([]trace.Ref(nil), r.addrRefs...)
+				di.AddrRefs = r.addrRefs
 			}
 			if err := sink.Emit(di); err != nil {
 				return nil, err
