@@ -246,20 +246,6 @@ func target(inst *legacy.Instance) lift.Target {
 	}
 }
 
-// genImage maps a concrete evaluator source onto the generated package's
-// flat Image geometry.
-func genImage(src ir.Source) (*liftedkernels.Image, bool) {
-	switch s := src.(type) {
-	case ir.PlaneSource:
-		pix, base, stride := s.P.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
-	case ir.InterleavedSource:
-		pix, base, stride, pixStep := s.Im.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
-	}
-	return nil, false
-}
-
 // evalGenerated renders a lifted result through the checked-in generated
 // package and verifies it against the legacy binary's own output.
 func evalGenerated(name string, res *lift.Result) (*liftedkernels.Kernel, []byte, error) {
@@ -267,9 +253,9 @@ func evalGenerated(name string, res *lift.Result) (*liftedkernels.Kernel, []byte
 	if !ok {
 		return nil, nil, fmt.Errorf("kernel %q is not in internal/liftedkernels (run `helium gen`)", name)
 	}
-	img, ok := genImage(res.MaterializeInput())
-	if !ok {
-		return nil, nil, fmt.Errorf("kernel %q input cannot be materialized as a flat image", name)
+	img, err := ir.ImageOf(res.MaterializeInput())
+	if err != nil {
+		return nil, nil, fmt.Errorf("kernel %q input: %w", name, err)
 	}
 	w, h := res.EvalDims()
 	out, err := gk.Eval(img, w, h)
@@ -565,10 +551,10 @@ type benchReport struct {
 }
 
 // benchBackends is the timing matrix, in report order: VM emulation, the
-// tree-walking interpreter, the serial row-vectorized register executor,
-// the cache-blocked tiled parallel driver, the tiled driver under the
-// tuned schedule, and the ahead-of-time generated Go code
-// (single-threaded).
+// tree-walking interpreter, the register programs on the shared runtime —
+// serial, row strips over the requested workers ("compiled-tiled", the
+// report's historical key) and under the tuned schedule — and the
+// ahead-of-time generated Go code (single-threaded).
 var benchBackends = []string{"vm", "interp", "compiled", "compiled-tiled", "scheduled", "generated"}
 
 // sweepWorkers parses the -workers-sweep flag: a comma list of counts, or
@@ -684,7 +670,10 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 			return fmt.Errorf("%s: %w", k.Name, err)
 		}
 		src := res.MaterializeInput()
-		img, _ := genImage(src)
+		img, err := ir.ImageOf(src)
+		if err != nil {
+			return fmt.Errorf("%s: %w", k.Name, err)
+		}
 		outW, outH := res.EvalDims()
 		want, err := res.VMOutput()
 		if err != nil {
@@ -789,7 +778,8 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 					return fmt.Errorf("%s/scheduled@%d: %w", k.Name, w, err)
 				}
 				row["scheduled"] = ns / float64(samples)
-				gspec := liftedkernels.ScheduleSpec{Workers: w, Fusion: gk.Sched.Fusion, WindowRows: gk.Sched.WindowRows, Stages: gk.Sched.Stages}
+				gspec := tuned.Spec()
+				gspec.Workers = w
 				ns, err = timeIt(func() error {
 					_, err := gk.EvalInto(gsc, img, outW, outH, gspec)
 					return err

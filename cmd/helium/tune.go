@@ -1,7 +1,7 @@
 // The autotuner: search the schedule space per corpus kernel and commit
 // the winners.  This is the practical payoff of the algorithm/schedule
 // split — the lifted kernel fixes WHAT to compute, `helium tune` measures
-// candidate strategies (tile extents, worker counts, lane widths,
+// candidate strategies (tile extents, worker counts,
 // materialize vs sliding-window fusion) and records the fastest one in
 // schedules.json, which `helium run`, `helium -bench`, `helium gen` and
 // the generated package then consume.  The heuristic default is always

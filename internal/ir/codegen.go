@@ -552,30 +552,26 @@ func emitRowSet(b *strings.Builder, fg *fileGen, what string, ck *CompiledKernel
 	return rs, nil
 }
 
-// emitSched writes the kernel's tuned default schedule when it differs
-// from the reference serial-materialize strategy.  Workers, fusion,
-// window and per-stage tile extents embed (tiles drive the generated
-// runtime's cache-blocked driver and, at one worker, the baked serial
-// tile nest); lane overrides have no counterpart in generated code — the
-// row loops are fully inlined at fixed lanes — so they do not embed.
+// emitSched writes the kernel's tuned default schedule, as the runtime
+// ScheduleSpec it converts to, when it differs from the reference
+// serial-materialize strategy.  Tiles drive the runtime's cache-blocked
+// driver and, at one worker, the baked serial tile nest.
 func emitSched(b *strings.Builder, sc *schedule.Schedule) {
-	if sc == nil {
-		return
-	}
+	spec := sc.Spec()
 	hasTiles := false
-	for _, st := range sc.Stages {
+	for _, st := range spec.Stages {
 		if st.TileW > 0 || st.TileH > 0 {
 			hasTiles = true
 		}
 	}
-	if sc.Workers == 0 && sc.FusionKind() == schedule.Materialize && sc.WindowRows == 0 && !hasTiles {
+	if spec.Workers == 0 && spec.Fusion == string(schedule.Materialize) && spec.WindowRows == 0 && !hasTiles {
 		return
 	}
 	fmt.Fprintf(b, "\t\tSched: ScheduleSpec{Workers: %d, Fusion: %q, WindowRows: %d",
-		sc.Workers, string(sc.FusionKind()), sc.WindowRows)
+		spec.Workers, spec.Fusion, spec.WindowRows)
 	if hasTiles {
 		fmt.Fprintf(b, ", Stages: []StageSched{")
-		for i, st := range sc.Stages {
+		for i, st := range spec.Stages {
 			if i > 0 {
 				fmt.Fprintf(b, ", ")
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"helium/internal/image"
+	"helium/internal/liftedkernels"
 )
 
 // testRNG is a splitmix64 generator so the differential trees are
@@ -24,10 +25,48 @@ func (r *testRNG) next() uint64 {
 func (r *testRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // opaqueSource hides the concrete backing from bindSource, forcing the
-// compiled executor onto its generic Source path.
+// scalar executor onto its generic Source path.
 type opaqueSource struct{ s Source }
 
 func (o opaqueSource) Sample(x, y, c int) uint8 { return o.s.Sample(x, y, c) }
+
+// evalSpec renders ck over a flat source through the runtime under spec.
+func evalSpec(ck *CompiledKernel, src Source, spec liftedkernels.ScheduleSpec) ([]byte, error) {
+	img, err := ImageOf(src)
+	if err != nil {
+		return nil, err
+	}
+	return ck.Runtime().EvalSched(img, ck.OutWidth, ck.OutHeight, spec)
+}
+
+// evalScalar renders ck one sample at a time through Executor.EvalAt — the
+// path every Source supports — in the serial y-then-x-then-c scan, with
+// the region renderer's error text.
+func evalScalar(ck *CompiledKernel, src Source) ([]byte, error) {
+	ex := ck.NewExecutor(src)
+	out := make([]byte, 0, ck.OutWidth*ck.OutHeight*ck.Channels)
+	for y := 0; y < ck.OutHeight; y++ {
+		for x := 0; x < ck.OutWidth; x++ {
+			for c := 0; c < ck.Channels; c++ {
+				v, err := ex.EvalAt(x, y, c)
+				if err != nil {
+					return nil, fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", ck.Name, x, y, c, err)
+				}
+				out = append(out, v)
+			}
+		}
+	}
+	return out, nil
+}
+
+// regionSpecs are the runtime schedules the differentials render under:
+// serial, row strips across workers, and cache tiles small enough to
+// split the test kernels' 6x4 outputs.
+var regionSpecs = []liftedkernels.ScheduleSpec{
+	liftedkernels.Serial(),
+	{Workers: 3},
+	{Workers: 2, Stages: []liftedkernels.StageSched{{TileW: 4, TileH: 2}}},
+}
 
 // treeGen builds random well-formed expression trees covering every op,
 // mixed widths, tables, float chains and deliberate domain mixes.
@@ -236,10 +275,12 @@ func TestCompiledDifferential(t *testing.T) {
 	}
 }
 
-// TestCompiledRowDifferential pits the row-vectorized executor against the
-// interpreter over whole kernel grids: outputs must be byte-identical and,
-// when a tree faults on some sample, the error — failing coordinate and
-// message alike — must be the one an x-then-c per-sample scan reports.
+// TestCompiledRowDifferential pits the row-vectorized executors, rendered
+// through the runtime under every region schedule, against the interpreter
+// over whole kernel grids: outputs must be byte-identical and, when a tree
+// faults on some sample, the error — failing coordinate and message alike
+// — must be the one an x-then-c per-sample scan reports.  The scalar
+// executor is held to the same contract on a generic (non-flat) source.
 func TestCompiledRowDifferential(t *testing.T) {
 	plane := diffPlane()
 	src := PlaneSource{P: plane}
@@ -256,24 +297,25 @@ func TestCompiledRowDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
-		for _, s := range []Source{src, generic} {
-			got, gerr := ck.Eval(s)
+		evals := map[string]func() ([]byte, error){
+			"scalar generic": func() ([]byte, error) { return evalScalar(ck, generic) },
+		}
+		for _, spec := range regionSpecs {
+			evals[fmt.Sprintf("runtime %+v", spec)] = func() ([]byte, error) { return evalSpec(ck, src, spec) }
+		}
+		for name, eval := range evals {
+			got, gerr := eval()
 			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("seed %d: interp err %v, compiled err %v\ntree: %s", seed, werr, gerr, tree)
+				t.Fatalf("seed %d %s: interp err %v, compiled err %v\ntree: %s", seed, name, werr, gerr, tree)
 			}
 			if werr != nil {
 				if werr.Error() != gerr.Error() {
-					t.Fatalf("seed %d: interp error %q, compiled error %q\ntree: %s", seed, werr, gerr, tree)
+					t.Fatalf("seed %d %s: interp error %q, compiled error %q\ntree: %s", seed, name, werr, gerr, tree)
 				}
-				pgot, perr := ck.EvalParallel(s, 3)
-				if perr == nil || perr.Error() != werr.Error() {
-					t.Fatalf("seed %d: parallel error %v, want %q", seed, perr, werr)
-				}
-				_ = pgot
 				continue
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d: compiled row output differs from interpreter\ntree: %s", seed, tree)
+				t.Fatalf("seed %d %s: compiled row output differs from interpreter\ntree: %s", seed, name, tree)
 			}
 		}
 		if werr != nil {
@@ -416,26 +458,27 @@ func TestCompiledKernelMatchesInterp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	srcs := map[string]Source{
-		"fused":   PlaneSource{P: plane},
-		"generic": opaqueSource{s: PlaneSource{P: plane}},
+	got, err := evalScalar(ck, opaqueSource{s: PlaneSource{P: plane}})
+	if err != nil {
+		t.Fatalf("generic scalar eval: %v", err)
 	}
-	for name, src := range srcs {
-		got, err := ck.Eval(src)
+	if !bytes.Equal(got, want) {
+		t.Error("generic scalar output differs from interpreter")
+	}
+	got, err = ck.Eval(PlaneSource{P: plane})
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("compiled output differs from interpreter")
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		got, err := evalSpec(ck, PlaneSource{P: plane}, liftedkernels.ScheduleSpec{Workers: workers})
 		if err != nil {
-			t.Fatalf("%s Eval: %v", name, err)
+			t.Fatalf("runtime at %d workers: %v", workers, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s compiled output differs from interpreter", name)
-		}
-		for _, workers := range []int{1, 2, 3, 7} {
-			got, err := ck.EvalParallel(src, workers)
-			if err != nil {
-				t.Fatalf("%s EvalParallel(%d): %v", name, workers, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s EvalParallel(%d) output differs from serial", name, workers)
-			}
+			t.Errorf("runtime at %d workers: output differs from serial", workers)
 		}
 	}
 }
@@ -463,7 +506,7 @@ func TestCompiledInterleavedFusion(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("fused interleaved output differs from interpreter")
 	}
-	got, err = ck.EvalParallel(InterleavedSource{Im: im}, 4)
+	got, err = evalSpec(ck, InterleavedSource{Im: im}, liftedkernels.ScheduleSpec{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +568,7 @@ func BenchmarkProgramRunBoxBlurTree(b *testing.B) {
 	}
 	plane := diffPlane()
 	bd := bindSource(PlaneSource{P: plane})
-	st := p.newState(&bd, 0)
+	st := p.newState(&bd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v, err := p.run(&bd, st, 3, 3, 0)

@@ -6,13 +6,41 @@ import (
 	"testing"
 
 	"helium/internal/image"
-	"helium/internal/schedule"
+	"helium/internal/liftedkernels"
 )
 
-// materializeChain is the reference the fused driver must match: every
-// stage evaluates fully (serial), intermediates become exact-extent
-// planes, and an erroring stage aborts the chain — the same structure as
-// lift's chain evaluator.
+// evalFused streams a compiled chain through the runtime's sliding-window
+// executor as one Pipeline, rendering the final stage at its own extents.
+func evalFused(stages []*CompiledKernel, src Source, spec liftedkernels.ScheduleSpec) ([]byte, error) {
+	k, err := Pipeline(stages)
+	if err != nil {
+		return nil, err
+	}
+	img, err := ImageOf(src)
+	if err != nil {
+		return nil, err
+	}
+	final := stages[len(stages)-1]
+	spec.Fusion = "slidingWindow"
+	out, err := k.EvalSched(img, final.OutWidth, final.OutHeight, spec)
+	return out, StageError(stages, err)
+}
+
+// fusedRingRows is the runtime's ring sizing for a chain at its own
+// extents, or why the chain cannot stream.
+func fusedRingRows(stages []*CompiledKernel, windowRows int) ([]int, error) {
+	k, err := Pipeline(stages)
+	if err != nil {
+		return nil, err
+	}
+	final := stages[len(stages)-1]
+	return k.RingRows(final.OutWidth, final.OutHeight, windowRows)
+}
+
+// materializeChain is the reference the fused executor must match: every
+// stage renders fully (serial), intermediates become exact-extent planes,
+// and an erroring stage aborts the chain — the same structure as lift's
+// chain evaluator.
 func materializeChain(stages []*CompiledKernel, src Source) ([]byte, error) {
 	var out []byte
 	var err error
@@ -171,8 +199,7 @@ func TestFusedRandomChains(t *testing.T) {
 		}
 		for _, win := range []int{0, 2, 7} {
 			for _, workers := range []int{1, 2, 5} {
-				sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, WindowRows: win, Workers: workers}
-				got, gerr := EvalFused(stages, src, sc)
+				got, gerr := evalFused(stages, src, liftedkernels.ScheduleSpec{WindowRows: win, Workers: workers})
 				id := fmt.Sprintf("chain %d (%d stages) win=%d workers=%d", i, nStages, win, workers)
 				if werr != nil {
 					if gerr == nil {
@@ -234,8 +261,7 @@ func TestFusedProducerErrorDominates(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
-		sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: workers}
-		_, gerr := EvalFused(stages, src, sc)
+		_, gerr := evalFused(stages, src, liftedkernels.ScheduleSpec{Workers: workers})
 		if gerr == nil || gerr.Error() != werr.Error() {
 			t.Fatalf("workers=%d: fused error %q, want producer-dominated %q", workers, gerr, werr)
 		}
@@ -248,7 +274,7 @@ func TestFusedProducerErrorDominates(t *testing.T) {
 	if cerr == nil {
 		t.Fatal("consumer stage did not fault on its own")
 	}
-	_, ferr := EvalFused(clean, src, &schedule.Schedule{Fusion: schedule.SlidingWindow})
+	_, ferr := evalFused(clean, src, liftedkernels.ScheduleSpec{})
 	if ferr == nil || ferr.Error() != cerr.Error() {
 		t.Fatalf("consumer-only fault: fused %q, want %q", ferr, cerr)
 	}
@@ -263,7 +289,7 @@ func TestFusedRingStaysSmall(t *testing.T) {
 		Bin(OpAdd, 4, zext(Load(-1, 0, 0)), zext(Load(1, 0, 0))), // horizontal pass
 	}
 	stages := chainFromTrees(t, trees, outW, outH)
-	rings, err := FusedRingRows(stages, 0)
+	rings, err := fusedRingRows(stages, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +304,7 @@ func TestFusedRingStaysSmall(t *testing.T) {
 		t.Fatalf("ring (%d rows) is as tall as the intermediate (%d rows)", rings[0], stages[0].OutHeight)
 	}
 	// A requested window clamps to [footprint, producer height].
-	rings, err = FusedRingRows(stages, 1000)
+	rings, err = fusedRingRows(stages, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,18 +316,18 @@ func TestFusedRingStaysSmall(t *testing.T) {
 // TestFusedRejectsUnfusable pins the validation errors.
 func TestFusedRejectsUnfusable(t *testing.T) {
 	single := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0))}, 8, 8)
-	if _, err := FusedRingRows(single, 0); err == nil {
+	if _, err := fusedRingRows(single, 0); err == nil {
 		t.Fatal("single-stage chain must not fuse")
 	}
 	stages := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0)), zext(Load(0, 0, 0))}, 8, 8)
-	if _, err := FusedRingRows([]*CompiledKernel{stages[0], nil}, 0); err == nil {
+	if _, err := fusedRingRows([]*CompiledKernel{stages[0], nil}, 0); err == nil {
 		t.Fatal("nil (reduction) stage must not fuse")
 	}
 	// A consumer tapping outside its producer's extent must be rejected:
 	// shrink the producer below the consumer's footprint.
 	bad := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0)), Bin(OpAdd, 4, zext(Load(0, -1, 0)), zext(Load(0, 1, 0)))}, 8, 8)
 	bad[0].OutHeight = 4
-	if _, err := FusedRingRows(bad, 0); err == nil {
+	if _, err := fusedRingRows(bad, 0); err == nil {
 		t.Fatal("footprint outside the producer must not fuse")
 	}
 }
@@ -339,7 +365,7 @@ func TestFusedUnconsumedLowProducerRows(t *testing.T) {
 		t.Fatal("materializing chain did not fault on the unconsumed producer row")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		_, gerr := EvalFused(stages, src, &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: workers})
+		_, gerr := evalFused(stages, src, liftedkernels.ScheduleSpec{Workers: workers})
 		if gerr == nil || gerr.Error() != werr.Error() {
 			t.Fatalf("workers=%d: fused error %q, want %q", workers, gerr, werr)
 		}

@@ -1,59 +1,44 @@
-// Width-specialized row execution.  When the width-inference pass proves
-// every register of a program fits 8, 16 or 32 bits, the row executor runs
-// in that lane type instead of uint64: the row register file shrinks by
-// 8x/4x/2x, which keeps whole tiles of register rows inside L1 and moves
-// 2-8x more samples per cache line through the hot loops.  Execution is
-// bit-exact with the 64-bit reference path — see width.go for the
-// soundness argument — including error positions and messages.
+// Row-vectorized execution.  Every instruction processes a whole row of
+// samples before the next dispatches, so the interpretive dispatch cost is
+// paid once per instruction per row rather than once per node per sample.
+// The row executor is generic over its register lane type: when the
+// width-inference pass proves every register of a program fits 8, 16 or
+// 32 bits it runs in that type instead of uint64 — the row register file
+// shrinks by 8x/4x/2x, which keeps whole chunks of register rows inside
+// L1 and moves 2-8x more samples per cache line through the hot loops.
+// Execution is bit-exact with the 64-bit reference lanes — see width.go
+// for the soundness argument — including error positions and messages.
 package ir
 
-// lane is the set of narrow register types the row executor specializes
-// over.
+import (
+	"fmt"
+	"math"
+)
+
+// lane is the set of register types the row executors run in: the narrow
+// lanes the width pass can prove, and the 64-bit reference width.
 type lane interface {
-	~uint8 | ~uint16 | ~uint32
+	~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// rowExec is one channel program's row-execution engine bound to a source:
-// either the 64-bit reference executor or a lane-specialized one.
+// rowExec is one channel program's row-execution engine bound to a flat
+// backing, in the program's lane type.
 type rowExec interface {
 	// runRow evaluates output samples x in [0, width) of channel c at
-	// input row y, xbase being the input-x of output sample 0.  Error
-	// semantics match Program.runRow.
+	// input row y, xbase being the input-x of output sample 0.
 	runRow(xbase, y, c, width int) (int, error)
 	// storeRow narrows the result row to bytes: dst[x*step] = uint8(res[x])
 	// for x in [0, n).
 	storeRow(dst []byte, step, n int)
+	// retap re-resolves the tap offsets after the binding's geometry
+	// changed.
+	retap()
 }
 
-// rowExec64 adapts the uint64 reference path to the rowExec interface.
-type rowExec64 struct {
-	p  *Program
-	bd *binding
-	st *progState
-}
-
-func (r *rowExec64) runRow(xbase, y, c, width int) (int, error) {
-	return r.p.runRow(r.bd, r.st, xbase, y, c, width)
-}
-
-func (r *rowExec64) storeRow(dst []byte, step, n int) {
-	res := r.st.rows[r.p.root]
-	for x := 0; x < n; x++ {
-		dst[x*step] = uint8(res[x])
-	}
-}
-
-// newRowExec picks the row executor for a program: the narrowest lane the
-// width pass proved, widened to the schedule's requested lane when one is
-// given.  Widening is always sound (every register provably fits the
-// proven lane, hence any wider one); requests below the proven width are
-// clamped up, so no schedule can select an unsound executor.
-func newRowExec(p *Program, bd *binding, rowWidth, lane int) rowExec {
-	bits := p.width.laneBits
-	if lane > bits {
-		bits = lane
-	}
-	switch bits {
+// newRowExec picks the row executor for a program — the narrowest lane the
+// width pass proved — with register rows rowWidth samples wide.
+func newRowExec(p *Program, bd *binding, rowWidth int) rowExec {
+	switch p.width.laneBits {
 	case 8:
 		return newLaneState[uint8](p, bd, rowWidth)
 	case 16:
@@ -61,42 +46,22 @@ func newRowExec(p *Program, bd *binding, rowWidth, lane int) rowExec {
 	case 32:
 		return newLaneState[uint32](p, bd, rowWidth)
 	}
-	return &rowExec64{p: p, bd: bd, st: p.newState(bd, rowWidth)}
+	return newLaneState[uint64](p, bd, rowWidth)
 }
 
-// laneState is the lane-typed counterpart of progState: precomputed tap
-// offsets plus a row register file in the narrow type.
+// laneState is a row executor's state: tap offsets resolved against the
+// bound geometry plus a row register file in lane type T.
 type laneState[T lane] struct {
-	p       *Program
-	bd      *binding
-	offs    []int
-	tapOffs [][]int
+	p  *Program
+	bd *binding
+	tapOffsets
 	rows    [][]T
 	argRows [][]T
 }
 
 func newLaneState[T lane](p *Program, bd *binding, rowWidth int) *laneState[T] {
-	st := &laneState[T]{
-		p:       p,
-		bd:      bd,
-		offs:    make([]int, len(p.insts)),
-		tapOffs: make([][]int, len(p.insts)),
-	}
-	for i := range p.insts {
-		in := &p.insts[i]
-		if bd.pix != nil {
-			switch in.op {
-			case OpLoad:
-				st.offs[i] = bd.flatOff(in.dx, in.dy, in.dc)
-			case opSumTaps:
-				offs := make([]int, len(in.taps))
-				for j, t := range in.taps {
-					offs[j] = bd.flatOff(t.dx, t.dy, t.dc)
-				}
-				st.tapOffs[i] = offs
-			}
-		}
-	}
+	st := &laneState[T]{p: p, bd: bd}
+	st.set(p, bd)
 	st.rows = make([][]T, p.numRegs)
 	backing := make([]T, p.numRegs*rowWidth)
 	for r := range st.rows {
@@ -111,6 +76,8 @@ func newLaneState[T lane](p *Program, bd *binding, rowWidth int) *laneState[T] {
 	st.argRows = make([][]T, 0, 8)
 	return st
 }
+
+func (st *laneState[T]) retap() { st.set(st.p, st.bd) }
 
 func (st *laneState[T]) storeRow(dst []byte, step, n int) {
 	res := st.rows[st.p.root]
@@ -129,11 +96,19 @@ func (st *laneState[T]) gatherArgs(in *pinst, n int) {
 	st.argRows = as
 }
 
-// runRow mirrors Program.runRow over the narrow register file.  Only the
-// integer operations the width pass admits appear here; the analysis never
-// selects a lane width for programs containing anything else.
+// runRow executes the program over one output row.
+//
+// Error semantics reproduce per-sample evaluation exactly: when an
+// instruction faults at some x the row narrows to [0, x) for the remaining
+// instructions, so the reported fault is the one an x-ascending per-sample
+// loop would have hit first.  Returns the failing x (-1 if none).
+//
+// Float instructions run only in 64-bit lanes: the width pass never
+// narrows a program containing one, and a narrow executor meeting one
+// reports it rather than truncating bit patterns.
 func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 	p, bd := st.p, st.bd
+	wide := uint64(^T(0)) == ^uint64(0)
 	n := width
 	errX := -1
 	var firstErr error
@@ -141,14 +116,8 @@ func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 		errX, firstErr = x, err
 		n = x
 	}
-	pos0 := 0
-	if bd.pix != nil {
-		pos0 = bd.base + y*bd.stride + xbase*bd.pixStep + c*bd.chanStep
-	}
+	pos0 := bd.base + y*bd.stride + xbase*bd.pixStep + c*bd.chanStep
 	xs := bd.xstep
-	if xs == 0 {
-		xs = 1
-	}
 	ps := bd.pixStep * xs
 	rows := st.rows
 	for i := range p.insts {
@@ -159,81 +128,66 @@ func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 		if in.dead {
 			continue
 		}
+		if !wide && (in.op.IsFloat() || in.op == OpFPToInt) {
+			return 0, errNotLaneExecutable(in.op)
+		}
 		d := rows[in.dst][:n]
 		switch in.op {
 		case OpLoad:
-			if bd.pix != nil {
-				off := pos0 + st.offs[i]
-				lo, hi := off, off+(n-1)*ps
-				if lo >= 0 && hi < len(bd.pix) {
-					pix := bd.pix
-					for x := range d {
-						d[x] = T(pix[off+x*ps])
-					}
-				} else {
-					for x := range d {
-						idx := off + x*ps
-						if uint(idx) >= uint(len(bd.pix)) {
-							fail(x, errLoad(xbase+x*xs+int(in.dx), y+int(in.dy), c+int(in.dc)))
-							break
-						}
-						d[x] = T(bd.pix[idx])
-					}
+			off := pos0 + st.offs[i]
+			lo, hi := off, off+(n-1)*ps
+			if lo >= 0 && hi < len(bd.pix) {
+				pix := bd.pix
+				for x := range d {
+					d[x] = T(pix[off+x*ps])
 				}
 			} else {
-				src := bd.src
 				for x := range d {
-					d[x] = T(src.Sample(xbase+x*xs+int(in.dx), y+int(in.dy), c+int(in.dc)))
+					idx := off + x*ps
+					if uint(idx) >= uint(len(bd.pix)) {
+						fail(x, errLoad(xbase+x*xs+int(in.dx), y+int(in.dy), c+int(in.dc)))
+						break
+					}
+					d[x] = T(bd.pix[idx])
 				}
 			}
 		case opSumTaps:
 			bias := T(uint64(in.val))
 			mask := T(in.mask)
-			if bd.pix != nil {
-				pix := bd.pix
-				safe := true
-				for _, off := range st.tapOffs[i] {
-					lo, hi := pos0+off, pos0+off+(n-1)*ps
-					if lo < 0 || hi >= len(pix) {
-						safe = false
-						break
-					}
+			pix := bd.pix
+			safe := true
+			for _, off := range st.sums[i] {
+				lo, hi := pos0+off, pos0+off+(n-1)*ps
+				if lo < 0 || hi >= len(pix) {
+					safe = false
+					break
 				}
-				if safe {
-					for x := range d {
-						s := bias
-						base := pos0 + x*ps
-						for _, off := range st.tapOffs[i] {
-							s += T(pix[base+off])
-						}
-						d[x] = s
-					}
-				} else {
-					for x := range d {
-						s := bias
-						base := pos0 + x*ps
-						bad := false
-						for _, off := range st.tapOffs[i] {
-							idx := base + off
-							if uint(idx) >= uint(len(pix)) {
-								fail(x, errLoad(xbase+x*xs, y, c))
-								bad = true
-								break
-							}
-							s += T(pix[idx])
-						}
-						if bad {
-							break
-						}
-						d[x] = s
-					}
-				}
-			} else {
-				src := bd.src
+			}
+			if safe {
 				for x := range d {
 					s := bias
-					for _, t := range in.taps {
-						s += T(src.Sample(xbase+x*xs+int(t.dx), y+int(t.dy), c+int(t.dc)))
+					base := pos0 + x*ps
+					for _, off := range st.sums[i] {
+						s += T(pix[base+off])
+					}
+					d[x] = s
+				}
+			} else {
+				for x := range d {
+					s := bias
+					base := pos0 + x*ps
+					bad := false
+					for _, off := range st.sums[i] {
+						idx := base + off
+						if uint(idx) >= uint(len(pix)) {
+							fail(x, errLoad(xbase+x*xs, y, c))
+							bad = true
+							break
+						}
+						s += T(pix[idx])
+					}
+					if bad {
+						break
 					}
 					d[x] = s
 				}
@@ -512,8 +466,46 @@ func (st *laneState[T]) runRow(xbase, y, c, width int) (int, error) {
 				}
 				d[x] = T(v)
 			}
+		case OpIntToFP:
+			a := rows[in.a][:n]
+			sh := in.sh
+			for x := range d {
+				d[x] = T(math.Float64bits(float64(sx(uint64(a[x]), sh))))
+			}
+		case OpFPToInt:
+			a := rows[in.a][:n]
+			mask := in.mask
+			for x := range d {
+				d[x] = T(uint64(int64(math.RoundToEven(math.Float64frombits(uint64(a[x]))))) & mask)
+			}
+		case OpFAdd:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) + math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFSub:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) - math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFMul:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) * math.Float64frombits(uint64(b[x]))))
+			}
+		case OpFDiv:
+			a, b := rows[in.a][:n], rows[in.b][:n]
+			for x := range d {
+				d[x] = T(math.Float64bits(math.Float64frombits(uint64(a[x])) / math.Float64frombits(uint64(b[x]))))
+			}
+		case OpCall:
+			a := rows[in.a][:n]
+			fn := in.fn
+			for x := range d {
+				d[x] = T(math.Float64bits(fn(math.Float64frombits(uint64(a[x])))))
+			}
 		default:
-			return 0, errNotLaneExecutable(in.op)
+			return 0, fmt.Errorf("ir: compiled program contains unexecutable op %v", in.op)
 		}
 	}
 	return errX, firstErr

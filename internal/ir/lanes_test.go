@@ -2,7 +2,11 @@ package ir
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
+
+	"helium/internal/image"
+	"helium/internal/liftedkernels"
 )
 
 // narrowTreeGen builds random trees whose values provably stay small, so
@@ -65,10 +69,11 @@ func (g *narrowTreeGen) expr(depth int) *Expr {
 }
 
 // TestLaneRowDifferential drives the width-specialized row executors
-// against the interpreter on trees the width pass can narrow: outputs (and
-// the parallel tiled driver's outputs) must match byte for byte, and the
-// corpus must actually select narrow lanes rather than silently falling
-// back to 64-bit rows.
+// against the interpreter on trees the width pass can narrow: outputs
+// rendered through the runtime under every region schedule (and the
+// scalar executor's, on a generic source) must match byte for byte, and
+// the corpus must actually select narrow lanes rather than silently
+// falling back to 64-bit rows.
 func TestLaneRowDifferential(t *testing.T) {
 	plane := diffPlane()
 	src := PlaneSource{P: plane}
@@ -89,19 +94,19 @@ func TestLaneRowDifferential(t *testing.T) {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
 		laneCounts[ck.Progs[0].LaneBits()]++
-		for _, s := range []Source{src, generic} {
-			got, gerr := ck.Eval(s)
+		for _, spec := range regionSpecs {
+			got, gerr := evalSpec(ck, src, spec)
 			if gerr != nil {
-				t.Fatalf("seed %d: compiled eval: %v\ntree: %s\n%s", seed, gerr, tree, ck.Progs[0].Disasm())
+				t.Fatalf("seed %d %+v: compiled eval: %v\ntree: %s\n%s", seed, spec, gerr, tree, ck.Progs[0].Disasm())
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("seed %d: lane output differs from interpreter (lanes=%d)\ntree: %s\n%s",
-					seed, ck.Progs[0].LaneBits(), tree, ck.Progs[0].Disasm())
+				t.Fatalf("seed %d %+v: lane output differs from interpreter (lanes=%d)\ntree: %s\n%s",
+					seed, spec, ck.Progs[0].LaneBits(), tree, ck.Progs[0].Disasm())
 			}
-			got, gerr = ck.EvalParallel(s, 3)
-			if gerr != nil || !bytes.Equal(got, want) {
-				t.Fatalf("seed %d: parallel lane output differs (err %v)", seed, gerr)
-			}
+		}
+		got, gerr := evalScalar(ck, generic)
+		if gerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: generic scalar output differs (err %v)", seed, gerr)
 		}
 	}
 	if laneCounts[8]+laneCounts[16]+laneCounts[32] < 150 {
@@ -113,24 +118,44 @@ func TestLaneRowDifferential(t *testing.T) {
 	t.Logf("lane widths over corpus: %v", laneCounts)
 }
 
-// coordSource is a cheap unbounded synthetic source for wide-image tests.
-type coordSource struct{}
+// coordPlane is a deterministic flat input big enough for wide-image
+// tests, with a one-pixel border for 3x3 taps.
+func coordPlane(w, h int) PlaneSource {
+	p := image.NewPlane(w, h, 1)
+	for y := -1; y <= h; y++ {
+		for x := -1; x <= w; x++ {
+			p.Set(x, y, uint8(x*31^y*17))
+		}
+	}
+	return PlaneSource{P: p}
+}
 
-func (coordSource) Sample(x, y, c int) uint8 { return uint8(x*31 ^ y*17 ^ c*5) }
-
-// wideKernel builds a kernel big enough that the blocked driver genuinely
-// splits it into multiple tiles in both dimensions.
+// wideKernel builds a kernel big enough that the runtime splits it into
+// many strips and tiles, and its rows into several register chunks.
 func wideKernel(tree *Expr) *Kernel {
 	return &Kernel{Name: "wide", OutWidth: 1500, OutHeight: 900, Channels: 1,
 		OriginX: 1, OriginY: 1, Trees: []*Expr{tree}}
 }
 
-// TestTiledEvalMatchesSerial checks the cache-blocked parallel driver
-// against the serial full-row executor on an image large enough for a real
-// tile grid, across worker counts.
+// wideSpecs are the strip and tile schedules the wide-image tests render
+// under, across worker counts.
+func wideSpecs() []liftedkernels.ScheduleSpec {
+	var specs []liftedkernels.ScheduleSpec
+	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
+		specs = append(specs,
+			liftedkernels.ScheduleSpec{Workers: workers},
+			liftedkernels.ScheduleSpec{Workers: workers, Stages: []liftedkernels.StageSched{{TileW: 256, TileH: 64}}},
+			liftedkernels.ScheduleSpec{Workers: workers, Stages: []liftedkernels.StageSched{{TileW: 1000, TileH: 7}}})
+	}
+	return specs
+}
+
+// TestTiledEvalMatchesSerial checks the runtime's strip and tile drivers
+// over the compiled rows against the serial render on an image large
+// enough for a real tile grid and rows wider than one register chunk.
 func TestTiledEvalMatchesSerial(t *testing.T) {
 	// Enough distinct subexpressions that the row register file forces
-	// tiling in x.
+	// chunking in x.
 	taps := make([]*Expr, 0, 12)
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
@@ -146,31 +171,39 @@ func TestTiledEvalMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, th := ck.tileSize()
-	if tw >= k.OutWidth || th >= k.OutHeight {
-		t.Fatalf("tile geometry %dx%d does not block a %dx%d image", tw, th, k.OutWidth, k.OutHeight)
+	if chunk := ck.ChunkWidth(); chunk >= k.OutWidth {
+		t.Fatalf("register chunk %d does not split a %d-wide row", chunk, k.OutWidth)
 	}
-	src := coordSource{}
+	src := coordPlane(k.OutWidth+2, k.OutHeight+2)
 	want, err := ck.Eval(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := ck.EvalParallel(src, workers)
+	for y := 0; y < k.OutHeight; y += 97 {
+		for x := 0; x < k.OutWidth; x += 89 {
+			v, err := k.EvalAt(src, x, y, 0)
+			if err != nil || uint8(v) != want[y*k.OutWidth+x] {
+				t.Fatalf("serial render at (%d,%d) = %d, interpreter %d (%v)", x, y, want[y*k.OutWidth+x], v, err)
+			}
+		}
+	}
+	for _, spec := range wideSpecs() {
+		got, err := evalSpec(ck, src, spec)
 		if err != nil {
-			t.Fatalf("EvalParallel(%d): %v", workers, err)
+			t.Fatalf("%+v: %v", spec, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("tiled output differs from serial at %d workers (tiles %dx%d)", workers, tw, th)
+			t.Fatalf("%+v: output differs from serial", spec)
 		}
 	}
 }
 
-// TestTiledErrorDeterministic pins the blocked driver's error semantics: a
-// data-dependent fault must be reported at exactly the coordinate and with
-// exactly the message the serial per-sample scan produces, for every
-// worker count, even when the faulting sample sits in a late tile while an
-// earlier-index tile also faults.
+// TestTiledErrorDeterministic pins the runtime's error semantics over the
+// compiled rows: a data-dependent fault must be reported at exactly the
+// coordinate and with exactly the message the interpreter's serial
+// per-sample scan produces, for every worker count and tile shape, even
+// when the faulting sample sits in a late tile or chunk while an
+// earlier-index one also faults.
 func TestTiledErrorDeterministic(t *testing.T) {
 	// table has 128 entries, the index is the input byte: every sample
 	// whose input is >= 128 faults, which happens all over the grid.
@@ -185,26 +218,45 @@ func TestTiledErrorDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := coordSource{}
-	_, serr := ck.Eval(src)
+	src := coordPlane(k.OutWidth+2, k.OutHeight+2)
+	_, serr := k.Eval(src)
 	if serr == nil {
 		t.Fatal("fault kernel must error serially")
 	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		_, perr := ck.EvalParallel(src, workers)
+	for _, spec := range append(wideSpecs(), liftedkernels.Serial()) {
+		_, perr := evalSpec(ck, src, spec)
 		if perr == nil {
-			t.Fatalf("EvalParallel(%d): fault kernel must error", workers)
+			t.Fatalf("%+v: fault kernel must error", spec)
 		}
 		if perr.Error() != serr.Error() {
-			t.Fatalf("EvalParallel(%d) error %q differs from serial %q", workers, perr, serr)
+			t.Fatalf("%+v: error %q differs from serial %q", spec, perr, serr)
 		}
 	}
 }
 
-// TestWorkersCappedByWork pins the worker-count cap: workers never exceed
-// the number of independent tiles, so a 3-row image never spins up 16
-// goroutines' worth of executors — a small image collapses to one worker
-// — while a wide short image still gets one worker per column tile.
+// concurrency wraps a runtime kernel's rows to record the most row calls
+// ever in flight at once.
+func concurrency(k *liftedkernels.Kernel) *atomic.Int64 {
+	var cur, peak atomic.Int64
+	rows := make([]liftedkernels.RowFunc, len(k.Rows))
+	for c, row := range k.Rows {
+		rows[c] = func(dst []byte, step int, img *liftedkernels.Image, y, xbase, n int) (int, error) {
+			now := cur.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			defer cur.Add(-1)
+			return row(dst, step, img, y, xbase, n)
+		}
+	}
+	k.Rows = rows
+	return &peak
+}
+
+// TestWorkersCappedByWork pins the worker-count cap of the runtime the
+// compiled rows run under: workers never exceed the independent units of
+// work — row strips, or tile bands — so a 3-row image never has more than
+// 3 rows in flight however many workers are requested, and the capped
+// output still matches the serial one.
 func TestWorkersCappedByWork(t *testing.T) {
 	k := &Kernel{Name: "short", OutWidth: 64, OutHeight: 3, Channels: 1,
 		Trees: []*Expr{Load(0, 0, 0)}}
@@ -212,14 +264,8 @@ func TestWorkersCappedByWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, requested := range []int{16, 3, 2, 1, 0} {
-		got := ck.Workers(requested)
-		if got < 1 || got > 3 {
-			t.Errorf("Workers(%d) on a 64x3 kernel = %d, want within [1, 3]", requested, got)
-		}
-	}
-	// A wide short image with a fat register file tiles in x, so useful
-	// parallelism can exceed the row count.
+	// A wide short image with a fat register file: its rows split into
+	// several chunks, but its units of work are still its 3 rows.
 	args := make([]*Expr, 0, 40)
 	for i := 0; i < 40; i++ {
 		args = append(args, Bin(OpMul, 4,
@@ -232,26 +278,42 @@ func TestWorkersCappedByWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, th := wck.tileSize()
-	tiles := ((wide.OutWidth + tw - 1) / tw) * ((wide.OutHeight + th - 1) / th)
-	if tiles <= 3 {
-		t.Fatalf("wide-short kernel only blocks into %d tiles; the test needs x-tiling", tiles)
+	if chunk := wck.ChunkWidth(); chunk >= wide.OutWidth {
+		t.Fatalf("wide-short kernel renders in one %d-sample chunk; the test needs x-chunking", chunk)
 	}
-	if got := wck.Workers(64); got != tiles {
-		t.Errorf("Workers(64) on a %d-tile kernel = %d, want %d", tiles, got, tiles)
+	src := coordPlane(1504, 7)
+	img, err := ImageOf(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The cap must hold end to end, not just in the accessor.
 	for _, kk := range []*CompiledKernel{ck, wck} {
-		out, err := kk.EvalParallel(coordSource{}, 16)
+		want, err := kk.Eval(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := kk.Eval(coordSource{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, want) {
-			t.Errorf("%s: capped parallel output differs from serial", kk.Name)
+		for _, spec := range []liftedkernels.ScheduleSpec{
+			{Workers: 16},
+			{Workers: 0},
+			{Workers: 16, Stages: []liftedkernels.StageSched{{TileW: 64, TileH: 1}}},
+			{Workers: 16, Stages: []liftedkernels.StageSched{{TileW: 64, TileH: 2}}},
+		} {
+			rk := kk.Runtime()
+			peak := concurrency(rk)
+			out, err := rk.EvalSched(img, kk.OutWidth, kk.OutHeight, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := int64(kk.OutHeight) // row strips, or 1-row tile bands
+			if len(spec.Stages) > 0 {
+				th := int64(spec.Stages[0].TileH)
+				limit = (int64(kk.OutHeight) + th - 1) / th
+			}
+			if got := peak.Load(); got < 1 || got > limit {
+				t.Errorf("%s %+v: %d rows in flight, want within [1, %d]", kk.Name, spec, got, limit)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s %+v: capped parallel output differs from serial", kk.Name, spec)
+			}
 		}
 	}
 }

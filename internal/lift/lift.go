@@ -3,6 +3,7 @@ package lift
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"helium/internal/faultpoint"
 	"helium/internal/image"
 	"helium/internal/ir"
+	"helium/internal/liftedkernels"
 	"helium/internal/schedule"
 	"helium/internal/trace"
 	"helium/internal/vm"
@@ -745,19 +747,28 @@ func (r *Result) Verify() error {
 }
 
 // CompiledResult is a lifted result with every stencil stage lowered to
-// register programs.  Reduction stages have no register form (their
-// scatter update is not row-vectorizable) and keep nil entries; the chain
-// evaluators run them through the reduction evaluator.
+// register programs, rendered through the liftedkernels runtime.
+// Reduction stages have no register form (their scatter update is not
+// row-vectorizable) and keep nil entries; the chain evaluators run them
+// through the reduction evaluator.  Safe for concurrent use.
 type CompiledResult struct {
 	res    *Result
 	Stages []*ir.CompiledKernel
+	// kerns holds each stencil stage as a single-stage runtime kernel —
+	// the materializing chain's per-stage renderer (nil for reductions).
+	kerns []*liftedkernels.Kernel
+	// fused is the whole chain as one streaming runtime kernel; fuseErr
+	// says why it is nil when the chain cannot stream.
+	fused   *liftedkernels.Kernel
+	fuseErr error
 }
 
-// Compile lowers every stencil stage of the result.
+// Compile lowers every stencil stage of the result and assembles the
+// runtime kernels that render it.
 func (r *Result) Compile() (*CompiledResult, error) {
 	start := time.Now()
 	defer func() { r.addPhase(PhaseCompile, time.Since(start)) }()
-	c := &CompiledResult{res: r, Stages: make([]*ir.CompiledKernel, len(r.Stages))}
+	c := &CompiledResult{res: r, Stages: make([]*ir.CompiledKernel, len(r.Stages)), kerns: make([]*liftedkernels.Kernel, len(r.Stages))}
 	for i := range r.Stages {
 		if r.Stages[i].Kernel == nil {
 			continue
@@ -766,8 +777,9 @@ func (r *Result) Compile() (*CompiledResult, error) {
 		if err != nil {
 			return nil, reject(PhaseCompile, err)
 		}
-		c.Stages[i] = ck
+		c.Stages[i], c.kerns[i] = ck, ck.Runtime()
 	}
+	c.fused, c.fuseErr = ir.Pipeline(c.Stages)
 	return c, nil
 }
 
@@ -782,84 +794,89 @@ func (c *CompiledResult) Progs() []*ir.Program {
 	return out
 }
 
-// Workers reports the effective parallel worker count of the widest
-// stencil stage for a requested value (1 for reduction-only results).
+// Workers reports the row-strip count the runtime renders with for a
+// requested worker count (<= 0 meaning GOMAXPROCS): strips never
+// outnumber the tallest stencil stage's rows at the lifted geometry (1
+// for reduction-only results).
 func (c *CompiledResult) Workers(requested int) int {
-	workers := 1
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
+	}
+	rows := 1
 	for _, ck := range c.Stages {
 		if ck != nil {
-			workers = max(workers, ck.Workers(requested))
+			rows = max(rows, ck.OutHeight)
 		}
 	}
-	return workers
+	return min(requested, rows)
 }
 
-// EvalAt runs the compiled chain serially against an arbitrary
+// EvalAt runs the compiled chain serially against an arbitrary flat
 // first-stage source at a fresh final geometry.  The parallel form is
 // EvalScheduledAt with a worker-count-only schedule.
 func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
-	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
-		ck := *c.Stages[i]
-		ck.OutWidth, ck.OutHeight = k.OutWidth, k.OutHeight
-		return ck.Eval(s)
-	}, nil)
-}
-
-// stagedAt returns copies of the compiled stencil stages with their
-// extents set for a final render at (outW, outH); reduction stages keep
-// nil entries.
-func (c *CompiledResult) stagedAt(outW, outH int) []*ir.CompiledKernel {
-	final := c.res.finalStage()
-	out := make([]*ir.CompiledKernel, len(c.Stages))
-	for i, ck := range c.Stages {
-		if ck == nil {
-			continue
-		}
-		cp := *ck
-		cp.OutWidth, cp.OutHeight = stageDims(&c.res.Stages[i], final, outW, outH)
-		out[i] = &cp
-	}
-	return out
+	return c.materialize(src, outW, outH, liftedkernels.Serial())
 }
 
 // Fusable reports whether the pipeline admits sliding-window fusion: two
-// or more stages, all stencils, with planar single-channel intermediates
-// whose footprints the fused driver's validation accepts.
+// or more stages, all unmapped stencils, with planar single-channel
+// intermediates whose footprints the runtime's validation accepts.
 func (c *CompiledResult) Fusable() bool {
-	if len(c.Stages) < 2 {
-		return false
-	}
-	w, h := c.res.EvalDims()
-	_, err := ir.FusedRingRows(c.stagedAt(w, h), 0)
+	_, err := c.RingRows(0)
 	return err == nil
 }
 
 // RingRows reports the fused intermediate ring heights (one per stage
 // gap) at the lifted geometry under the given window setting.
 func (c *CompiledResult) RingRows(windowRows int) ([]int, error) {
+	if c.fuseErr != nil {
+		return nil, c.fuseErr
+	}
 	w, h := c.res.EvalDims()
-	return ir.FusedRingRows(c.stagedAt(w, h), windowRows)
+	return c.fused.RingRows(w, h, windowRows)
 }
 
 // EvalScheduledAt runs the compiled chain under an explicit schedule at a
 // fresh final geometry: slidingWindow fusion streams the stages through
-// ring buffers, materialize runs the tiled parallel driver per stage with
-// the schedule's tile/lane/worker overrides.  Output and errors are
-// identical to EvalAt for every valid schedule.
+// the runtime's ring buffers, materialize renders each stage with the
+// schedule's tile and worker settings.  src must have a flat backing (see
+// ir.ImageOf).  Output and errors are identical to EvalAt for every valid
+// schedule.
 func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *schedule.Schedule) ([]byte, error) {
 	if err := sc.Validate(len(c.Stages)); err != nil {
 		return nil, err
 	}
-	if sc.FusionKind() == schedule.SlidingWindow {
-		if err := c.res.checkExtents(outW, outH); err != nil {
+	if sc.FusionKind() != schedule.SlidingWindow {
+		return c.materialize(src, outW, outH, sc.Spec())
+	}
+	if err := c.res.checkExtents(outW, outH); err != nil {
+		return nil, err
+	}
+	if c.fuseErr != nil {
+		return nil, c.fuseErr
+	}
+	img, err := ir.ImageOf(src)
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.fused.EvalInto(new(liftedkernels.Scratch), img, outW, outH, sc.Spec())
+	return out, ir.StageError(c.Stages, err)
+}
+
+// materialize runs the stage chain — the one lift.chain shared with the
+// interpreter — rendering every stencil stage through its runtime kernel
+// under stage i's slice of spec.
+func (c *CompiledResult) materialize(src ir.Source, outW, outH int, spec liftedkernels.ScheduleSpec) ([]byte, error) {
+	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
+		img, err := ir.ImageOf(s)
+		if err != nil {
 			return nil, err
 		}
-		return ir.EvalFused(c.stagedAt(outW, outH), src, sc)
-	}
-	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
-		ck := *c.Stages[i]
-		ck.OutWidth, ck.OutHeight = k.OutWidth, k.OutHeight
-		return ck.EvalParallelSched(s, sc.StageAt(i), sc.EffectiveWorkers())
+		st := liftedkernels.ScheduleSpec{Workers: spec.Workers}
+		if i < len(spec.Stages) {
+			st.Stages = spec.Stages[i : i+1]
+		}
+		return c.kerns[i].EvalInto(new(liftedkernels.Scratch), img, k.OutWidth, k.OutHeight, st)
 	}, nil)
 }
 
@@ -879,13 +896,13 @@ func (c *CompiledResult) VerifySchedule(sc *schedule.Schedule) error {
 }
 
 // VerifyCompiled lowers the lifted pipeline to register programs and
-// checks the compiled backend against the legacy binary's own output on
-// every execution path: serial and parallel (with the given worker count,
-// <= 0 meaning GOMAXPROCS), flat (materialized pixel backing) and generic
-// (dump-backed source), plus — for fusable multi-stage pipelines — the
-// sliding-window fused executor, serial and strip-parallel.  On success
-// it returns the verified compiled pipeline so drivers report and
-// benchmark exactly the programs that were checked.
+// checks the compiled tier against the legacy binary's own output on the
+// materialized input: serial and parallel (with the given worker count,
+// <= 0 meaning GOMAXPROCS), plus — for fusable multi-stage pipelines —
+// sliding-window fusion, serial and strip-parallel.  (The dump-backed
+// source itself is verified by Verify.)  On success it returns the
+// verified compiled pipeline so drivers report and benchmark exactly the
+// programs that were checked.
 func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	want, err := r.VMOutput()
 	if err != nil {
@@ -897,42 +914,28 @@ func (r *Result) VerifyCompiled(workers int) (*CompiledResult, error) {
 	}
 	start := time.Now()
 	defer func() { r.addPhase(PhaseVerify, time.Since(start)) }()
-	fusable := c.Fusable()
+	src := r.MaterializeInput()
 	w, h := r.EvalDims()
-	paths := []struct {
-		name string
-		src  ir.Source
-	}{
-		{"fused", r.MaterializeInput()},
-		{"generic", r.InputSource()},
+	got, err := c.EvalAt(src, w, h)
+	if err != nil {
+		return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled eval: %w", err))
 	}
-	for _, p := range paths {
-		got, err := c.EvalAt(p.src, w, h)
-		if err != nil {
-			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s eval: %w", p.name, err))
-		}
-		if err := compareToVM("compiled "+p.name+" evaluation", got, want); err != nil {
-			return nil, reject(PhaseVerify, err)
-		}
-		got, err = c.EvalScheduledAt(p.src, w, h, &schedule.Schedule{Workers: max(workers, 0)})
-		if err != nil {
-			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s parallel eval: %w", p.name, err))
-		}
-		if err := compareToVM("compiled "+p.name+" parallel evaluation", got, want); err != nil {
-			return nil, reject(PhaseVerify, err)
-		}
-		if !fusable {
-			continue
-		}
+	if err := compareToVM("compiled evaluation", got, want); err != nil {
+		return nil, reject(PhaseVerify, err)
+	}
+	scheds := []*schedule.Schedule{{Workers: max(workers, 0)}}
+	if c.Fusable() {
 		for _, n := range []int{1, workers} {
-			sc := &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: max(n, 0)}
-			got, err = c.EvalScheduledAt(p.src, w, h, sc)
-			if err != nil {
-				return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled %s sliding-window eval (%s): %w", p.name, sc, err))
-			}
-			if err := compareToVM(fmt.Sprintf("compiled %s sliding-window (%s) evaluation", p.name, sc), got, want); err != nil {
-				return nil, reject(PhaseVerify, err)
-			}
+			scheds = append(scheds, &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: max(n, 0)})
+		}
+	}
+	for _, sc := range scheds {
+		got, err = c.EvalScheduledAt(src, w, h, sc)
+		if err != nil {
+			return nil, reject(PhaseCompile, fmt.Errorf("lift: compiled eval (%s): %w", sc, err))
+		}
+		if err := compareToVM(fmt.Sprintf("compiled (%s) evaluation", sc), got, want); err != nil {
+			return nil, reject(PhaseVerify, err)
 		}
 	}
 	return c, nil

@@ -2,12 +2,14 @@ package lift_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"helium/internal/ir"
 	"helium/internal/legacy"
 	"helium/internal/lift"
+	"helium/internal/liftedkernels"
 	"helium/internal/schedule"
 	"helium/internal/trace"
 	"helium/internal/vm"
@@ -255,9 +257,24 @@ func TestMaterializeInputCrossChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ck.Eval(src)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ck.Eval(src); err == nil {
+		t.Error("region rendering over the non-flat fallback source must be a typed error")
+	} else if se := (*ir.SourceError)(nil); !errors.As(err, &se) {
+		t.Errorf("fallback source error %v is not an *ir.SourceError", err)
+	}
+	// The scalar executor still samples the fallback source.
+	ex := ck.NewExecutor(src)
+	got := make([]byte, 0, len(want))
+	for y := 0; y < ck.OutHeight; y++ {
+		for x := 0; x < ck.OutWidth; x++ {
+			for c := 0; c < ck.Channels; c++ {
+				v, err := ex.EvalAt(x, y, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, v)
+			}
+		}
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("compiled eval over the fallback source differs from the interpreter")
@@ -399,10 +416,10 @@ func BenchmarkCompiledEvalBoxBlur(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex := ck.NewExecutor(res.MaterializeInput())
+	src := res.MaterializeInput()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Eval(); err != nil {
+		if _, err := ck.Eval(src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -421,10 +438,14 @@ func BenchmarkCompiledParallelBoxBlur(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := res.MaterializeInput()
+	img, err := ir.ImageOf(res.MaterializeInput())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rk := ck.Runtime()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ck.EvalParallel(src, 0); err != nil {
+		if _, err := rk.EvalSched(img, ck.OutWidth, ck.OutHeight, liftedkernels.ScheduleSpec{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestScheduledCorpusMatchesVM runs every corpus kernel under a spread of
-// schedules — materialize with explicit tiles, lanes and worker counts,
+// schedules — materialize with explicit tiles and worker counts,
 // and (for multi-stage pipelines) sliding-window fusion at several window
 // sizes — and demands byte-exact agreement with the legacy binary's own
 // output.  This is the schedule layer's core contract: a schedule changes
@@ -32,8 +32,7 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 			schedule.Default(),
 			{Workers: 1},
 			{Workers: 4, Stages: fillStages(nStages, schedule.Stage{TileW: 16, TileH: 4})},
-			{Workers: 2, Stages: fillStages(nStages, schedule.Stage{Lane: 32})},
-			{Workers: 3, Stages: fillStages(nStages, schedule.Stage{TileW: 8, TileH: 2, Lane: 64})},
+			{Workers: 3, Stages: fillStages(nStages, schedule.Stage{TileW: 8, TileH: 2})},
 		}
 		if c.Fusable() {
 			scheds = append(scheds,

@@ -14,18 +14,11 @@ import (
 	"helium/internal/liftedkernels"
 )
 
-// genImage mirrors cmd/helium's mapping from evaluator sources onto the
-// generated package's flat geometry.
+// genImage maps an evaluator source onto the generated package's flat
+// geometry (ir.ImageOf, reporting success as a bool).
 func genImage(src ir.Source) (*liftedkernels.Image, bool) {
-	switch s := src.(type) {
-	case ir.PlaneSource:
-		pix, base, stride := s.P.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: 1}, true
-	case ir.InterleavedSource:
-		pix, base, stride, pixStep := s.Im.Flat()
-		return &liftedkernels.Image{Pix: pix, Base: base, Stride: stride, PixStep: pixStep, ChanStep: 1}, true
-	}
-	return nil, false
+	img, err := ir.ImageOf(src)
+	return img, err == nil
 }
 
 // TestGeneratedKernelsMatchVM lifts the corpus at a geometry and seed

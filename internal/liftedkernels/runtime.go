@@ -10,7 +10,9 @@
 // generated half compiles against: the Image geometry, the Kernel driver
 // with reference-exact error selection, the ScheduleSpec execution layer
 // (worker row strips, cache tiles, sliding-window stage fusion), the
-// reduction driver and the shared error constructors.
+// reduction driver and the shared error constructors.  It is the one
+// scheduling runtime: the register-program tier of helium/internal/ir
+// runs here too, its channel programs exposed as RowFuncs.
 //
 // Values, error positions and error messages are bit-identical to the
 // helium/internal/ir interpreter and register executors — under every
@@ -380,7 +382,7 @@ func (k *Kernel) EvalInto(sc *Scratch, img *Image, outW, outH int, spec Schedule
 		e = evalStrips(out, img, k.Channels, k.OriginX, k.OriginY, outW, 0, outH, spec.Workers, k.Rows, k.RowAll)
 	}
 	if e != nil {
-		return nil, fmt.Errorf("ir: kernel %s at (%d,%d,%d): %w", k.Name, e.x, e.y, e.c, e.err)
+		return nil, k.rowError(-1, e)
 	}
 	return out, nil
 }
@@ -393,6 +395,31 @@ func (k *Kernel) checkExtent(outW, outH int) error {
 		return fmt.Errorf("ir: kernel %s extent %dx%d is empty", k.Name, outW, outH)
 	}
 	return nil
+}
+
+// RowError is a row function's fault, positioned in output coordinates:
+// the failure Eval and EvalInto report for every stencil row, carrying the
+// stage index of a multi-stage pipeline (-1 for a single-stage kernel) so
+// callers can re-attribute it.
+type RowError struct {
+	Kernel  string
+	Stage   int
+	X, Y, C int
+	Err     error
+}
+
+func (e *RowError) Error() string {
+	if e.Stage < 0 {
+		return fmt.Sprintf("ir: kernel %s at (%d,%d,%d): %v", e.Kernel, e.X, e.Y, e.C, e.Err)
+	}
+	return fmt.Sprintf("ir: kernel %s stage %d at (%d,%d,%d): %v", e.Kernel, e.Stage, e.X, e.Y, e.C, e.Err)
+}
+
+func (e *RowError) Unwrap() error { return e.Err }
+
+// rowError wraps stage si's (-1: the whole kernel's) first failure.
+func (k *Kernel) rowError(si int, e *rowErr) error {
+	return &RowError{Kernel: k.Name, Stage: si, X: e.x, Y: e.y, C: e.c, Err: e.err}
 }
 
 // rowErr is one row range's first failure in scan order.
@@ -579,17 +606,13 @@ func evalTiled(out []byte, img *Image, channels, originX, originY, outW, outH, t
 // shifted by its recorded extent deltas.
 func (k *Kernel) evalStages(sc *Scratch, img *Image, outW, outH int, spec ScheduleSpec) (*Image, error) {
 	n := len(k.Stages)
-	dims := sc.ints(2 * n)
-	ws, hs := dims[:n:n], dims[n:]
-	for si := range k.Stages {
-		st := &k.Stages[si]
-		ws[si], hs[si] = outW+st.DW, outH+st.DH
-		if ws[si] <= 0 || hs[si] <= 0 {
-			return nil, fmt.Errorf("ir: kernel %s stage %d extent %dx%d is empty", k.Name, si, ws[si], hs[si])
-		}
+	dims := sc.ints(3 * n)
+	ws, hs, rings := dims[:n:n], dims[n:2*n:2*n], dims[2*n:3*n-1]
+	if err := k.stageExtents(ws, hs, outW, outH); err != nil {
+		return nil, err
 	}
 	if spec.Fusion == "slidingWindow" {
-		return k.evalStagesFused(sc, img, ws, hs, spec)
+		return k.evalStagesFused(sc, img, ws, hs, rings, spec)
 	}
 	cur := img
 	for si := range k.Stages {
@@ -603,13 +626,64 @@ func (k *Kernel) evalStages(sc *Scratch, img *Image, outW, outH int, spec Schedu
 			e = evalStrips(out, cur, st.Channels, st.OriginX, st.OriginY, w, 0, h, spec.Workers, st.Rows, st.RowAll)
 		}
 		if e != nil {
-			return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, e.x, e.y, e.c, e.err)
+			return nil, k.rowError(si, e)
 		}
 		ni := sc.img(si)
 		*ni = Image{Pix: out, Stride: w * st.Channels, PixStep: st.Channels, ChanStep: 1, Tbl: cur.Tbl}
 		cur = ni
 	}
 	return cur, nil
+}
+
+// stageExtents writes every stage's extents for a final render at (outW,
+// outH) into ws and hs, rejecting an empty stage.
+func (k *Kernel) stageExtents(ws, hs []int, outW, outH int) error {
+	for si := range k.Stages {
+		st := &k.Stages[si]
+		ws[si], hs[si] = outW+st.DW, outH+st.DH
+		if ws[si] <= 0 || hs[si] <= 0 {
+			return fmt.Errorf("ir: kernel %s stage %d extent %dx%d is empty", k.Name, si, ws[si], hs[si])
+		}
+	}
+	return nil
+}
+
+// RingRows reports the ring heights (one per stage gap) the sliding-window
+// executor streams through when the final stage renders outW x outH, or
+// why the pipeline cannot stream.
+func (k *Kernel) RingRows(outW, outH, windowRows int) ([]int, error) {
+	n := len(k.Stages)
+	if n < 2 {
+		return nil, fmt.Errorf("ir: kernel %s: slidingWindow fusion needs at least 2 stages, kernel has %d", k.Name, n)
+	}
+	ws, hs, rings := make([]int, n), make([]int, n), make([]int, n-1)
+	if err := k.stageExtents(ws, hs, outW, outH); err != nil {
+		return nil, err
+	}
+	return rings, k.ringRows(ws, hs, windowRows, rings)
+}
+
+// ringRows checks that every intermediate streams — planar single-channel,
+// with the consumer's read footprint inside its producer — and writes each
+// gap's ring height into rings: windowRows 0 picks the minimal window (the
+// consumer's row footprint), larger values clamp to the producer height.
+func (k *Kernel) ringRows(ws, hs []int, windowRows int, rings []int) error {
+	for si := 1; si < len(k.Stages); si++ {
+		st := &k.Stages[si]
+		if k.Stages[si-1].Channels != 1 {
+			return fmt.Errorf("ir: kernel %s: only planar single-channel intermediates stream (stage %d has %d channels)", k.Name, si-1, k.Stages[si-1].Channels)
+		}
+		if st.MinDY < 0 || hs[si]-1+st.MaxDY >= hs[si-1] {
+			return fmt.Errorf("ir: kernel %s stage %d reads rows [%d,%d], outside its %d-row producer", k.Name, si, st.MinDY, hs[si]-1+st.MaxDY, hs[si-1])
+		}
+		if st.MinDX < 0 || ws[si]-1+st.MaxDX >= ws[si-1] {
+			// A horizontal overread wraps differently in a ring than in a
+			// full plane; erroring keeps fusion result-identical or loud.
+			return fmt.Errorf("ir: kernel %s stage %d reads columns [%d,%d], outside its %d-column producer", k.Name, si, st.MinDX, ws[si]-1+st.MaxDX, ws[si-1])
+		}
+		rings[si-1] = min(max(windowRows, st.MaxDY-st.MinDY+1), hs[si-1])
+	}
+	return nil
 }
 
 // fusedStage is one stage's streaming state within one worker strip of
@@ -635,21 +709,10 @@ type fusedStage struct {
 // rows and recompute their halo rows independently; per-stage errors
 // merge to the scan-order first, and the earliest erroring stage wins —
 // exactly the materializing executor's reporting.
-func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec ScheduleSpec) (*Image, error) {
+func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs, rings []int, spec ScheduleSpec) (*Image, error) {
 	n := len(k.Stages)
-	for si := 1; si < n; si++ {
-		st := &k.Stages[si]
-		if k.Stages[si-1].Channels != 1 {
-			return nil, fmt.Errorf("ir: kernel %s: only planar single-channel intermediates stream (stage %d has %d channels)", k.Name, si-1, k.Stages[si-1].Channels)
-		}
-		if st.MinDY < 0 || hs[si]-1+st.MaxDY >= hs[si-1] {
-			return nil, fmt.Errorf("ir: kernel %s stage %d reads rows [%d,%d], outside its %d-row producer", k.Name, si, st.MinDY, hs[si]-1+st.MaxDY, hs[si-1])
-		}
-		if st.MinDX < 0 || ws[si]-1+st.MaxDX >= ws[si-1] {
-			// A horizontal overread wraps differently in a ring than in a
-			// full plane; erroring keeps fusion result-identical or loud.
-			return nil, fmt.Errorf("ir: kernel %s stage %d reads columns [%d,%d], outside its %d-column producer", k.Name, si, st.MinDX, ws[si]-1+st.MaxDX, ws[si-1])
-		}
+	if err := k.ringRows(ws, hs, spec.WindowRows, rings); err != nil {
+		return nil, err
 	}
 	last := n - 1
 	out := sc.outBuf(ws[last] * hs[last] * k.Stages[last].Channels)
@@ -673,11 +736,11 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 		if gen {
 			k.FusedStrip(sc, img, out, ws, hs, 0, hs[last], true, true, errs)
 		} else {
-			k.fusedStrip(sc, img, out, ws, hs, spec.WindowRows, 0, hs[last], true, true, errs)
+			k.fusedStrip(sc, img, out, ws, hs, rings, 0, hs[last], true, true, errs)
 		}
 		for si := 0; si < n; si++ {
 			if e := errs[si]; e != nil {
-				return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, e.x, e.y, e.c, e.err)
+				return nil, k.rowError(si, e)
 			}
 		}
 		ri := sc.img(n - 1)
@@ -703,7 +766,7 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 			if gen {
 				k.FusedStrip(wsc, img, out, ws, hs, s0, s1, first, drain, se)
 			} else {
-				k.fusedStrip(wsc, img, out, ws, hs, spec.WindowRows, s0, s1, first, drain, se)
+				k.fusedStrip(wsc, img, out, ws, hs, rings, s0, s1, first, drain, se)
 			}
 		}(wsc, se, s0, s1, first, drain)
 	}
@@ -716,7 +779,7 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 			}
 		}
 		if best != nil {
-			return nil, fmt.Errorf("ir: kernel %s stage %d at (%d,%d,%d): %w", k.Name, si, best.x, best.y, best.c, best.err)
+			return nil, k.rowError(si, best)
 		}
 	}
 	ri := sc.img(n - 1)
@@ -725,12 +788,13 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec Sch
 }
 
 // fusedStrip streams final-stage rows [s0, s1) through the chain and
-// returns each stage's first error (nil entries for clean stages).  The
+// returns each stage's first error (nil entries for clean stages); rings
+// holds the per-gap ring heights ringRows sized.  The
 // first and drain strips also produce the producer rows no consumer row
 // pulls — below and above the consumers' summed footprint — because the
 // materializing chain computes every producer row and an error in one of
 // them must not be lost.
-func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, windowRows, s0, s1 int, first, drain bool, errs []*rowErr) {
+func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs, rings []int, s0, s1 int, first, drain bool, errs []*rowErr) {
 	n := len(k.Stages)
 	fs := sc.stages(n)
 	fs[n-1].cursor, fs[n-1].hi = s0, s1
@@ -752,17 +816,9 @@ func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, w
 		s.w, s.h = ws[i], hs[i]
 		s.alive = true
 		if i < n-1 {
-			win := k.Stages[i+1].MaxDY - k.Stages[i+1].MinDY + 1
-			rows := windowRows
-			if rows < win {
-				rows = win
-			}
-			if rows > hs[i] {
-				rows = hs[i]
-			}
-			s.winOut, s.ringRows = win, rows
+			s.winOut, s.ringRows = k.Stages[i+1].MaxDY-k.Stages[i+1].MinDY+1, rings[i]
 			s.stride = ws[i] // intermediates are planar single-channel
-			s.ring = sc.buf(i, rows*s.stride)
+			s.ring = sc.buf(i, s.ringRows*s.stride)
 			s.yBase = s.cursor
 			s.ringImg = Image{Pix: s.ring, Base: -s.yBase * s.stride, Stride: s.stride, PixStep: 1, Tbl: img.Tbl}
 		}

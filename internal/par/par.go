@@ -1,6 +1,5 @@
-// Package par provides the bounded, deterministic worker pool shared by
-// the parallel lifter (per-sample expression extraction) and the compiled
-// backend's parallel evaluator (row-strip rendering).  Work items are
+// Package par provides the bounded, deterministic worker pool the
+// parallel lifter's per-sample expression extraction runs on.  Work items are
 // handed out in ascending order and results land at fixed positions, so
 // callers produce identical output — and report the identical first error
 // — regardless of worker count or scheduling.

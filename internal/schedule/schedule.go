@@ -2,12 +2,14 @@
 // split the source paper's speedups rest on.  A lifted kernel (the
 // algorithm) says only *what* each output sample is; a Schedule says *how*
 // the executors should compute it: how output tiles are blocked, how many
-// workers render them, which lane width the register rows run in, and —
-// for multi-stage pipelines — whether intermediate stages materialize full
-// planes or stream through a sliding window of ring-buffered rows.
+// workers render them, and — for multi-stage pipelines — whether
+// intermediate stages materialize full planes or stream through a sliding
+// window of ring-buffered rows.
 //
-// Schedules are plain data, decoupled from Program/CompiledKernel: the
-// same compiled pipeline runs under any valid schedule and produces
+// Schedules are plain data: Spec converts one to the liftedkernels
+// runtime's ScheduleSpec, which both the generated kernels and the
+// register programs run under.  The same pipeline runs under any valid
+// schedule and produces
 // bit-identical output (values, error positions and error messages), so a
 // tuner is free to search the schedule space and keep only the fastest
 // candidate.  The tuner (`helium tune`) persists its winners in a
@@ -16,10 +18,13 @@
 package schedule
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+
+	"helium/internal/liftedkernels"
 )
 
 // Fusion names an inter-stage execution strategy for multi-stage
@@ -40,15 +45,10 @@ const (
 // Stage is the per-stage half of a schedule.  Zero values mean "use the
 // executor's built-in heuristic".
 type Stage struct {
-	// TileW and TileH override the cache-blocked parallel driver's tile
-	// extents (clamped to the stage output); 0 keeps the L1/L2 heuristic.
+	// TileW and TileH block the stage's output into cache tiles (clamped
+	// to the stage output); 0 keeps straight row strips.
 	TileW int `json:"tile_w,omitempty"`
 	TileH int `json:"tile_h,omitempty"`
-	// Lane widens the register-row lane type to 8, 16, 32 or 64 bits.  The
-	// width-inference pass fixes the narrowest sound lane; a schedule may
-	// only widen (narrower requests are clamped up), so any Lane value is
-	// safe.  0 keeps the proven minimum.
-	Lane int `json:"lane,omitempty"`
 }
 
 // Schedule is one kernel's complete execution strategy.
@@ -65,10 +65,23 @@ type Schedule struct {
 	Stages []Stage `json:"stages,omitempty"`
 }
 
-// Default returns the heuristic schedule the executors used before the
-// schedule layer existed: materialize every stage, GOMAXPROCS workers,
-// L1/L2 tile heuristic, proven lanes.
+// Default returns the heuristic schedule: materialize every stage,
+// GOMAXPROCS workers, row strips.
 func Default() *Schedule { return &Schedule{} }
+
+// Spec converts the schedule to the runtime's ScheduleSpec (nil converts
+// like Default).
+func (s *Schedule) Spec() liftedkernels.ScheduleSpec {
+	spec := liftedkernels.ScheduleSpec{Fusion: string(s.FusionKind())}
+	if s == nil {
+		return spec
+	}
+	spec.Workers, spec.WindowRows = s.Workers, s.WindowRows
+	for _, st := range s.Stages {
+		spec.Stages = append(spec.Stages, liftedkernels.StageSched{TileW: st.TileW, TileH: st.TileH})
+	}
+	return spec
+}
 
 // FusionKind returns the effective fusion strategy (empty normalizes to
 // Materialize).
@@ -122,11 +135,6 @@ func (s *Schedule) Validate(nStages int) error {
 		if st.TileW < 0 || st.TileH < 0 {
 			return fmt.Errorf("schedule: stage %d: negative tile %dx%d", i, st.TileW, st.TileH)
 		}
-		switch st.Lane {
-		case 0, 8, 16, 32, 64:
-		default:
-			return fmt.Errorf("schedule: stage %d: lane width %d is not 8, 16, 32 or 64", i, st.Lane)
-		}
 	}
 	return nil
 }
@@ -147,14 +155,7 @@ func (s *Schedule) String() string {
 		if st == (Stage{}) {
 			continue
 		}
-		out += fmt.Sprintf(" s%d[", i)
-		if st.TileW > 0 || st.TileH > 0 {
-			out += fmt.Sprintf("tile=%dx%d", st.TileW, st.TileH)
-		}
-		if st.Lane > 0 {
-			out += fmt.Sprintf(" lane=%d", st.Lane)
-		}
-		out += "]"
+		out += fmt.Sprintf(" s%d[tile=%dx%d]", i, st.TileW, st.TileH)
 	}
 	return out
 }
@@ -205,14 +206,17 @@ func (s *Set) For(kernel string) *Schedule {
 	return s.Kernels[kernel]
 }
 
-// Load reads a schedule set from a JSON file.
+// Load reads a schedule set from a JSON file.  A field the schema does not
+// define (a retired knob such as "lane") is an error, not silently ignored.
 func Load(path string) (*Set, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var set Set
-	if err := json.Unmarshal(data, &set); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&set); err != nil {
 		return nil, fmt.Errorf("schedule: %s does not parse: %w", path, err)
 	}
 	for name, sc := range set.Kernels {

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -21,8 +23,6 @@ func TestValidate(t *testing.T) {
 		{"negative workers", &Schedule{Workers: -1}, 1, false},
 		{"negative window", &Schedule{WindowRows: -2}, 2, false},
 		{"too many stages", &Schedule{Stages: make([]Stage, 3)}, 2, false},
-		{"bad lane", &Schedule{Stages: []Stage{{Lane: 24}}}, 1, false},
-		{"good lane", &Schedule{Stages: []Stage{{Lane: 32, TileW: 64}}}, 1, true},
 		{"negative tile", &Schedule{Stages: []Stage{{TileW: -4}}}, 1, false},
 	}
 	for _, c := range cases {
@@ -63,7 +63,7 @@ func TestSetRoundTrip(t *testing.T) {
 		Kernels: map[string]*Schedule{
 			"blur2p": {Fusion: SlidingWindow, WindowRows: 3, Workers: 2},
 			"boxblur3": {Workers: 1, Stages: []Stage{
-				{TileW: 128, TileH: 16, Lane: 16}}},
+				{TileW: 128, TileH: 16}}},
 			"hist256": {},
 		},
 	}
@@ -85,7 +85,7 @@ func TestSetRoundTrip(t *testing.T) {
 	if b == nil || b.FusionKind() != SlidingWindow || b.WindowRows != 3 || b.Workers != 2 {
 		t.Fatalf("blur2p schedule did not round-trip: %+v", b)
 	}
-	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.Lane != 16 {
+	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.TileH != 16 {
 		t.Fatalf("boxblur3 stage overrides did not round-trip: %+v", st)
 	}
 	if got.For("nosuch") != nil {
@@ -165,5 +165,31 @@ func TestMatchesMachine(t *testing.T) {
 		if got := tc.set.MatchesMachine(host); got != tc.want {
 			t.Errorf("MatchesMachine(%+v, %s) = %v, want %v", tc.set, host, got, tc.want)
 		}
+	}
+}
+
+func TestSpec(t *testing.T) {
+	var nilSched *Schedule
+	if got := nilSched.Spec(); got.Workers != 0 || got.Fusion != string(Materialize) || got.Stages != nil {
+		t.Errorf("nil Spec = %+v, want the materializing default", got)
+	}
+	s := &Schedule{Workers: 3, Fusion: SlidingWindow, WindowRows: 5,
+		Stages: []Stage{{TileW: 64, TileH: 8}, {}}}
+	got := s.Spec()
+	if got.Workers != 3 || got.Fusion != string(SlidingWindow) || got.WindowRows != 5 {
+		t.Errorf("Spec = %+v", got)
+	}
+	if len(got.Stages) != 2 || got.Stages[0].TileW != 64 || got.Stages[0].TileH != 8 || got.Stages[1].TileW != 0 {
+		t.Errorf("Spec stages = %+v", got.Stages)
+	}
+}
+
+func TestLoadRejectsUnknownField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lane.json")
+	if err := os.WriteFile(path, []byte(`{"kernels":{"k":{"stages":[{"tile_w":8,"lane":16}]}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "lane") {
+		t.Fatalf("Load = %v, want an error naming the retired lane field", err)
 	}
 }
