@@ -17,9 +17,8 @@
 //
 // With no -kernel, every corpus kernel is lifted.  The default backend
 // compiles the lifted trees to register programs and evaluates them both
-// serially and with the cache-blocked parallel driver — plus, when a
-// tuned schedule set is present, under that schedule (sliding-window
-// fusion included); -backend interp selects the tree-walking evaluator
+// serially and in parallel row strips — plus, when a tuned schedule set
+// is present, under that schedule (sliding-window fusion included); -backend interp selects the tree-walking evaluator
 // and -backend generated the ahead-of-time Go code in
 // internal/liftedkernels.  Either way the output is compared byte for
 // byte with what the legacy binary wrote.
@@ -38,7 +37,7 @@
 // worker counts, and writes a machine-readable JSON report.
 //
 // The tune subcommand is the autotuner: it races candidate schedules
-// (tiles, workers, materialize vs sliding-window fusion) per kernel,
+// (worker counts, materialize vs sliding-window fusion) per kernel,
 // verifying each candidate bit-exact before timing it, and writes the
 // winners to schedules.json; -smoke runs a tiny grid and asserts the
 // artifact round-trips, for CI.
@@ -392,7 +391,7 @@ func runBackend(be string, k legacy.Kernel, inst *legacy.Instance, res *lift.Res
 			if verbose {
 				line := fmt.Sprintf("schedule: tuned [%s] verified", tuned)
 				if tuned.FusionKind() == schedule.SlidingWindow {
-					if rings, err := ck.RingRows(tuned.WindowRows); err == nil {
+					if rings, err := ck.RingRows(); err == nil {
 						line += fmt.Sprintf(", intermediate ring rows %v", rings)
 					}
 				}
@@ -691,7 +690,7 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 		}
 
 		m := vm.NewMachine(inst.Prog)
-		tiled := &schedule.Schedule{Workers: max(workers, 0)}
+		strips := &schedule.Schedule{Workers: max(workers, 0)}
 		runs := map[string]func() error{
 			"vm": func() error {
 				inst.Setup(m, true)
@@ -706,7 +705,7 @@ func runBench(kernels []legacy.Kernel, cfg legacy.Config, workers int, outPath, 
 				return err
 			},
 			"compiled-tiled": func() error {
-				_, err := ck.EvalScheduledAt(src, outW, outH, tiled)
+				_, err := ck.EvalScheduledAt(src, outW, outH, strips)
 				return err
 			},
 			"scheduled": func() error {

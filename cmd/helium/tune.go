@@ -1,12 +1,14 @@
 // The autotuner: search the schedule space per corpus kernel and commit
 // the winners.  This is the practical payoff of the algorithm/schedule
 // split — the lifted kernel fixes WHAT to compute, `helium tune` measures
-// candidate strategies (tile extents, worker counts,
-// materialize vs sliding-window fusion) and records the fastest one in
-// schedules.json, which `helium run`, `helium -bench`, `helium gen` and
-// the generated package then consume.  The heuristic default is always
-// candidate zero, so a tuned schedule is never slower than the previous
-// hard-coded strategy on the machine that tuned it.
+// candidate strategies (worker counts, materialize vs sliding-window
+// fusion) and records the fastest one in schedules.json, which `helium
+// run`, `helium -bench`, `helium gen` and the generated package then
+// consume.  The heuristic default is always candidate zero, so a tuned
+// schedule is never slower than the previous hard-coded strategy on the
+// machine that tuned it.  Cache tiles and explicit ring heights are not
+// searched: timed at 1024x768 against plain row strips they never won
+// (see package schedule).
 package main
 
 import (
@@ -146,23 +148,9 @@ func tuneKernel(k legacy.Kernel, cfg legacy.Config, smoke bool, maxWorkers int) 
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
-	opts := schedule.GridOpts{
-		Stages:     1,
-		OutW:       outW,
-		OutH:       outH,
-		MaxWorkers: maxWorkers,
-		Smoke:      smoke,
-	}
+	opts := schedule.GridOpts{Stages: 1, MaxWorkers: maxWorkers, Smoke: smoke}
 	if c.Fusable() {
 		opts.Stages = len(res.Stages)
-		if rings, err := c.RingRows(0); err == nil && len(rings) > 0 {
-			// The smallest per-gap window: candidates at or below it are
-			// minimal on every gap (see GridOpts.MinWindow).
-			opts.MinWindow = rings[0]
-			for _, r := range rings[1:] {
-				opts.MinWindow = min(opts.MinWindow, r)
-			}
-		}
 	}
 	grid := schedule.Grid(opts)
 

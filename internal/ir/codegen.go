@@ -295,7 +295,6 @@ type fileGen struct {
 	tableDefs *strings.Builder
 	needMath  bool
 	needBits  bool
-	needFmt   bool
 }
 
 // GenKernel is one unit of ahead-of-time generation: a stencil pipeline
@@ -317,7 +316,7 @@ type GenKernel struct {
 	// the kernel result.
 	RedFirst bool
 	// Sched, when non-nil, is the tuned default schedule embedded in the
-	// registration (EvalTuned runs it; Eval stays the serial reference).
+	// registration as Kernel.Sched (Eval stays the serial reference).
 	Sched *schedule.Schedule
 }
 
@@ -382,9 +381,6 @@ func GenerateUnits(pkg string, units []GenKernel) (string, error) {
 	out.WriteString("// Code generated by \"helium gen\"; DO NOT EDIT.\n\n")
 	fmt.Fprintf(&out, "package %s\n\n", pkg)
 	var imports []string
-	if fg.needFmt {
-		imports = append(imports, `"fmt"`)
-	}
 	if fg.needMath {
 		imports = append(imports, `"math"`)
 	}
@@ -553,82 +549,14 @@ func emitRowSet(b *strings.Builder, fg *fileGen, what string, ck *CompiledKernel
 }
 
 // emitSched writes the kernel's tuned default schedule, as the runtime
-// ScheduleSpec it converts to, when it differs from the reference
-// serial-materialize strategy.  Tiles drive the runtime's cache-blocked
-// driver and, at one worker, the baked serial tile nest.
+// ScheduleSpec it converts to, when it differs from the runtime's zero
+// default (GOMAXPROCS workers, materializing).
 func emitSched(b *strings.Builder, sc *schedule.Schedule) {
 	spec := sc.Spec()
-	hasTiles := false
-	for _, st := range spec.Stages {
-		if st.TileW > 0 || st.TileH > 0 {
-			hasTiles = true
-		}
-	}
-	if spec.Workers == 0 && spec.Fusion == string(schedule.Materialize) && spec.WindowRows == 0 && !hasTiles {
+	if spec.Workers == 0 && spec.Fusion == string(schedule.Materialize) {
 		return
 	}
-	fmt.Fprintf(b, "\t\tSched: ScheduleSpec{Workers: %d, Fusion: %q, WindowRows: %d",
-		spec.Workers, spec.Fusion, spec.WindowRows)
-	if hasTiles {
-		fmt.Fprintf(b, ", Stages: []StageSched{")
-		for i, st := range spec.Stages {
-			if i > 0 {
-				fmt.Fprintf(b, ", ")
-			}
-			fmt.Fprintf(b, "{TileW: %d, TileH: %d}", st.TileW, st.TileH)
-		}
-		fmt.Fprintf(b, "}")
-	}
-	fmt.Fprintf(b, "},\n")
-}
-
-// emitTunedDriver writes a serial driver whose loop nest carries the
-// tuned tile extents as literal bounds — the schedule baked into the
-// code itself.  EvalTuned dispatches to it when the embedded schedule
-// resolves to one worker; the parallel path keeps the generic tiled
-// driver, which reads the same tiles from the embedded ScheduleSpec.
-func emitTunedDriver(b *strings.Builder, fg *fileGen, k *Kernel, rs *rowSet, name string, tileW, tileH int) {
-	fg.needFmt = true
-	ch := k.Channels
-	fmt.Fprintf(b, "// %s renders through the tuned %dx%d tile blocking baked in as\n", name, tileW, tileH)
-	fmt.Fprintf(b, "// literal loop bounds (the embedded schedule's serial fast path).\n")
-	fmt.Fprintf(b, "func %s(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {\n", name)
-	fmt.Fprintf(b, "\tconst tileW, tileH = %d, %d\n", tileW, tileH)
-	fmt.Fprintf(b, "\tout := sc.outBuf(outW * outH * %d)\n", ch)
-	fmt.Fprintf(b, "\tvar first *rowErr\n")
-	fmt.Fprintf(b, "\tfor ty := 0; ty < outH; ty += tileH {\n")
-	fmt.Fprintf(b, "\t\tth := outH - ty\n\t\tif th > tileH {\n\t\t\tth = tileH\n\t\t}\n")
-	fmt.Fprintf(b, "\t\tfor tx := 0; tx < outW; tx += tileW {\n")
-	fmt.Fprintf(b, "\t\t\ttw := outW - tx\n\t\t\tif tw > tileW {\n\t\t\t\ttw = tileW\n\t\t\t}\n")
-	fmt.Fprintf(b, "\t\t\tfor y := ty; y < ty+th; y++ {\n")
-	switch {
-	case rs.rowAll != "":
-		fmt.Fprintf(b, "\t\t\t\tx, c, err := %s(out[(y*outW+tx)*%d:], img, y+%d, %d+tx, tw)\n", rs.rowAll, ch, k.OriginY, k.OriginX)
-		fmt.Fprintf(b, "\t\t\t\tif err != nil {\n")
-		fmt.Fprintf(b, "\t\t\t\t\te := &rowErr{y: y, x: x + tx, c: c, err: err}\n")
-	case len(rs.rows) == 1:
-		fmt.Fprintf(b, "\t\t\t\tx, err := %s(out[(y*outW+tx)*%d:], %d, img, y+%d, %d+tx, tw)\n", rs.rows[0], ch, ch, k.OriginY, k.OriginX)
-		fmt.Fprintf(b, "\t\t\t\tif err != nil {\n")
-		fmt.Fprintf(b, "\t\t\t\t\te := &rowErr{y: y, x: x + tx, c: 0, err: err}\n")
-	default:
-		// Distinct per-channel bodies: replicate the reference x-then-c
-		// selection (the first channel keeps ties).
-		fmt.Fprintf(b, "\t\t\t\terrX, errC := -1, -1\n")
-		fmt.Fprintf(b, "\t\t\t\tvar ferr error\n")
-		for c, row := range rs.rows {
-			fmt.Fprintf(b, "\t\t\t\tif x, err := %s(out[(y*outW+tx)*%d+%d:], %d, img, y+%d, %d+tx, tw); err != nil && (errX < 0 || x < errX) {\n",
-				row, ch, c, ch, k.OriginY, k.OriginX)
-			fmt.Fprintf(b, "\t\t\t\t\terrX, errC, ferr = x, %d, err\n\t\t\t\t}\n", c)
-		}
-		fmt.Fprintf(b, "\t\t\t\tif ferr != nil {\n")
-		fmt.Fprintf(b, "\t\t\t\t\te := &rowErr{y: y, x: errX + tx, c: errC, err: ferr}\n")
-	}
-	fmt.Fprintf(b, "\t\t\t\t\tif first == nil || e.before(first) {\n\t\t\t\t\t\tfirst = e\n\t\t\t\t\t}\n")
-	fmt.Fprintf(b, "\t\t\t\t\tbreak\n\t\t\t\t}\n")
-	fmt.Fprintf(b, "\t\t\t}\n\t\t}\n\t}\n")
-	fmt.Fprintf(b, "\tif first != nil {\n")
-	fmt.Fprintf(b, "\t\treturn nil, fmt.Errorf(\"ir: kernel %s at (%%d,%%d,%%d): %%w\", first.x, first.y, first.c, first.err)\n", k.Name)
-	fmt.Fprintf(b, "\t}\n\treturn out, nil\n}\n\n")
+	fmt.Fprintf(b, "\t\tSched: ScheduleSpec{Workers: %d, Fusion: %q},\n", spec.Workers, spec.Fusion)
 }
 
 // genKernel emits the registration literal and the row functions of one
@@ -644,34 +572,22 @@ func genKernel(b *strings.Builder, fg *fileGen, k *Kernel, ck *CompiledKernel, s
 	if err != nil {
 		return err
 	}
-	kreg := k
+	originX, originY := k.OriginX, k.OriginY
 	if ck.Mapped() {
 		// The affine index maps and the origins are baked into the row
 		// bodies, so the registration's origins stay zero and the
 		// drivers pass raw output coordinates through.
-		kc := *k
-		kc.OriginX, kc.OriginY = 0, 0
-		kreg = &kc
-	}
-	tuned := ""
-	if sc != nil {
-		if st := sc.StageAt(0); st.TileW > 0 && st.TileH > 0 {
-			tuned = "tuned" + ident
-			emitTunedDriver(&fns, fg, kreg, &rs, tuned, st.TileW, st.TileH)
-		}
+		originX, originY = 0, 0
 	}
 	fmt.Fprintf(b, "func init() {\n")
 	fmt.Fprintf(b, "\tregister(&Kernel{\n")
 	fmt.Fprintf(b, "\t\tName:          %q,\n", k.Name)
 	fmt.Fprintf(b, "\t\tChannels:      %d,\n", k.Channels)
-	fmt.Fprintf(b, "\t\tOriginX:       %d,\n", kreg.OriginX)
-	fmt.Fprintf(b, "\t\tOriginY:       %d,\n", kreg.OriginY)
+	fmt.Fprintf(b, "\t\tOriginX:       %d,\n", originX)
+	fmt.Fprintf(b, "\t\tOriginY:       %d,\n", originY)
 	fmt.Fprintf(b, "\t\tDefaultWidth:  %d,\n", k.OutWidth)
 	fmt.Fprintf(b, "\t\tDefaultHeight: %d,\n", k.OutHeight)
 	rs.regLines(b, "\t\t")
-	if tuned != "" {
-		fmt.Fprintf(b, "\t\tTuned:    %s,\n", tuned)
-	}
 	emitSched(b, sc)
 	fmt.Fprintf(b, "\t})\n}\n\n")
 	b.WriteString(fns.String())
@@ -682,9 +598,8 @@ func genKernel(b *strings.Builder, fg *fileGen, k *Kernel, ck *CompiledKernel, s
 // body for a two-stage planar pipeline: the consumer's recorded row
 // footprint becomes literal ring geometry (ring height, slide amount,
 // pull horizon), replacing the generic fusedProduce dispatch.  The
-// runtime calls it only at the minimal window — an explicit WindowRows
-// falls back to the generic ring — and only after evalStagesFused has
-// validated the footprint, so the body may assume in-range reads.
+// runtime calls it only after evalStagesFused has validated the
+// footprint, so the body may assume in-range reads.
 // Returns the emitted function's name, or "" when the pipeline shape
 // does not specialize (more than two stages, interleaved intermediates,
 // or collapsed channel bodies).

@@ -88,7 +88,7 @@ func genHarness(t *testing.T, dir, kernelsSrc string, plane *image.Plane) {
 	// values or error text — is identical.
 	fmt.Fprintf(&b, `var scheds = []lk.ScheduleSpec{
 	{Workers: 3},
-	{Workers: 2, Fusion: "slidingWindow", WindowRows: 2},
+	{Workers: 2, Fusion: "slidingWindow"},
 	{Workers: 1, Fusion: "slidingWindow"},
 }
 

@@ -60,12 +60,11 @@ func evalScalar(ck *CompiledKernel, src Source) ([]byte, error) {
 }
 
 // regionSpecs are the runtime schedules the differentials render under:
-// serial, row strips across workers, and cache tiles small enough to
-// split the test kernels' 6x4 outputs.
+// serial, and row strips across workers.
 var regionSpecs = []liftedkernels.ScheduleSpec{
 	liftedkernels.Serial(),
 	{Workers: 3},
-	{Workers: 2, Stages: []liftedkernels.StageSched{{TileW: 4, TileH: 2}}},
+	{Workers: 2},
 }
 
 // treeGen builds random well-formed expression trees covering every op,

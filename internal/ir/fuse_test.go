@@ -28,13 +28,13 @@ func evalFused(stages []*CompiledKernel, src Source, spec liftedkernels.Schedule
 
 // fusedRingRows is the runtime's ring sizing for a chain at its own
 // extents, or why the chain cannot stream.
-func fusedRingRows(stages []*CompiledKernel, windowRows int) ([]int, error) {
+func fusedRingRows(stages []*CompiledKernel) ([]int, error) {
 	k, err := Pipeline(stages)
 	if err != nil {
 		return nil, err
 	}
 	final := stages[len(stages)-1]
-	return k.RingRows(final.OutWidth, final.OutHeight, windowRows)
+	return k.RingRows(final.OutWidth, final.OutHeight)
 }
 
 // materializeChain is the reference the fused executor must match: every
@@ -174,7 +174,7 @@ func (g *fuseTreeGen) tree(depth int) *Expr {
 }
 
 // TestFusedRandomChains is the fusion property test: random 2-4 stage
-// pipelines, evaluated materializing and fused under several window sizes
+// pipelines, evaluated materializing and fused
 // and worker counts, must agree bit-exactly — values, error positions and
 // error messages.
 func TestFusedRandomChains(t *testing.T) {
@@ -197,31 +197,29 @@ func TestFusedRandomChains(t *testing.T) {
 		} else {
 			values++
 		}
-		for _, win := range []int{0, 2, 7} {
-			for _, workers := range []int{1, 2, 5} {
-				got, gerr := evalFused(stages, src, liftedkernels.ScheduleSpec{WindowRows: win, Workers: workers})
-				id := fmt.Sprintf("chain %d (%d stages) win=%d workers=%d", i, nStages, win, workers)
-				if werr != nil {
-					if gerr == nil {
-						t.Fatalf("%s: fused succeeded, materializing errors with %v", id, werr)
-					}
-					if gerr.Error() != werr.Error() {
-						t.Fatalf("%s: fused error %q, want %q", id, gerr, werr)
-					}
-					continue
+		for _, workers := range []int{1, 2, 5} {
+			got, gerr := evalFused(stages, src, liftedkernels.ScheduleSpec{Workers: workers})
+			id := fmt.Sprintf("chain %d (%d stages) workers=%d", i, nStages, workers)
+			if werr != nil {
+				if gerr == nil {
+					t.Fatalf("%s: fused succeeded, materializing errors with %v", id, werr)
 				}
-				if gerr != nil {
-					t.Fatalf("%s: fused error %v, materializing succeeds", id, gerr)
+				if gerr.Error() != werr.Error() {
+					t.Fatalf("%s: fused error %q, want %q", id, gerr, werr)
 				}
-				if !bytes.Equal(got, want) {
-					bad := 0
-					for j := range got {
-						if got[j] != want[j] {
-							bad++
-						}
+				continue
+			}
+			if gerr != nil {
+				t.Fatalf("%s: fused error %v, materializing succeeds", id, gerr)
+			}
+			if !bytes.Equal(got, want) {
+				bad := 0
+				for j := range got {
+					if got[j] != want[j] {
+						bad++
 					}
-					t.Fatalf("%s: fused output differs on %d/%d samples", id, bad, len(want))
 				}
+				t.Fatalf("%s: fused output differs on %d/%d samples", id, bad, len(want))
 			}
 		}
 	}
@@ -289,7 +287,7 @@ func TestFusedRingStaysSmall(t *testing.T) {
 		Bin(OpAdd, 4, zext(Load(-1, 0, 0)), zext(Load(1, 0, 0))), // horizontal pass
 	}
 	stages := chainFromTrees(t, trees, outW, outH)
-	rings, err := fusedRingRows(stages, 0)
+	rings, err := fusedRingRows(stages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,31 +301,23 @@ func TestFusedRingStaysSmall(t *testing.T) {
 	if rings[0] >= stages[0].OutHeight {
 		t.Fatalf("ring (%d rows) is as tall as the intermediate (%d rows)", rings[0], stages[0].OutHeight)
 	}
-	// A requested window clamps to [footprint, producer height].
-	rings, err = fusedRingRows(stages, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rings[0] != stages[0].OutHeight {
-		t.Fatalf("oversized window = %d rows, want clamp to %d", rings[0], stages[0].OutHeight)
-	}
 }
 
 // TestFusedRejectsUnfusable pins the validation errors.
 func TestFusedRejectsUnfusable(t *testing.T) {
 	single := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0))}, 8, 8)
-	if _, err := fusedRingRows(single, 0); err == nil {
+	if _, err := fusedRingRows(single); err == nil {
 		t.Fatal("single-stage chain must not fuse")
 	}
 	stages := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0)), zext(Load(0, 0, 0))}, 8, 8)
-	if _, err := fusedRingRows([]*CompiledKernel{stages[0], nil}, 0); err == nil {
+	if _, err := fusedRingRows([]*CompiledKernel{stages[0], nil}); err == nil {
 		t.Fatal("nil (reduction) stage must not fuse")
 	}
 	// A consumer tapping outside its producer's extent must be rejected:
 	// shrink the producer below the consumer's footprint.
 	bad := chainFromTrees(t, []*Expr{zext(Load(0, 0, 0)), Bin(OpAdd, 4, zext(Load(0, -1, 0)), zext(Load(0, 1, 0)))}, 8, 8)
 	bad[0].OutHeight = 4
-	if _, err := fusedRingRows(bad, 0); err == nil {
+	if _, err := fusedRingRows(bad); err == nil {
 		t.Fatal("footprint outside the producer must not fuse")
 	}
 }

@@ -131,29 +131,26 @@ func coordPlane(w, h int) PlaneSource {
 }
 
 // wideKernel builds a kernel big enough that the runtime splits it into
-// many strips and tiles, and its rows into several register chunks.
+// many strips, and its rows into several register chunks.
 func wideKernel(tree *Expr) *Kernel {
 	return &Kernel{Name: "wide", OutWidth: 1500, OutHeight: 900, Channels: 1,
 		OriginX: 1, OriginY: 1, Trees: []*Expr{tree}}
 }
 
-// wideSpecs are the strip and tile schedules the wide-image tests render
+// wideSpecs are the row-strip schedules the wide-image tests render
 // under, across worker counts.
 func wideSpecs() []liftedkernels.ScheduleSpec {
 	var specs []liftedkernels.ScheduleSpec
 	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
-		specs = append(specs,
-			liftedkernels.ScheduleSpec{Workers: workers},
-			liftedkernels.ScheduleSpec{Workers: workers, Stages: []liftedkernels.StageSched{{TileW: 256, TileH: 64}}},
-			liftedkernels.ScheduleSpec{Workers: workers, Stages: []liftedkernels.StageSched{{TileW: 1000, TileH: 7}}})
+		specs = append(specs, liftedkernels.ScheduleSpec{Workers: workers})
 	}
 	return specs
 }
 
-// TestTiledEvalMatchesSerial checks the runtime's strip and tile drivers
-// over the compiled rows against the serial render on an image large
-// enough for a real tile grid and rows wider than one register chunk.
-func TestTiledEvalMatchesSerial(t *testing.T) {
+// TestStripEvalMatchesSerial checks the runtime's row-strip driver over
+// the compiled rows against the serial render on an image tall enough
+// for many strips and with rows wider than one register chunk.
+func TestStripEvalMatchesSerial(t *testing.T) {
 	// Enough distinct subexpressions that the row register file forces
 	// chunking in x.
 	taps := make([]*Expr, 0, 12)
@@ -198,13 +195,13 @@ func TestTiledEvalMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTiledErrorDeterministic pins the runtime's error semantics over the
+// TestStripErrorDeterministic pins the runtime's error semantics over the
 // compiled rows: a data-dependent fault must be reported at exactly the
 // coordinate and with exactly the message the interpreter's serial
-// per-sample scan produces, for every worker count and tile shape, even
-// when the faulting sample sits in a late tile or chunk while an
-// earlier-index one also faults.
-func TestTiledErrorDeterministic(t *testing.T) {
+// per-sample scan produces, for every worker count, even when the
+// faulting sample sits in a late strip or chunk while an earlier-index
+// one also faults.
+func TestStripErrorDeterministic(t *testing.T) {
 	// table has 128 entries, the index is the input byte: every sample
 	// whose input is >= 128 faults, which happens all over the grid.
 	table := make([]byte, 128)
@@ -254,9 +251,9 @@ func concurrency(k *liftedkernels.Kernel) *atomic.Int64 {
 
 // TestWorkersCappedByWork pins the worker-count cap of the runtime the
 // compiled rows run under: workers never exceed the independent units of
-// work — row strips, or tile bands — so a 3-row image never has more than
-// 3 rows in flight however many workers are requested, and the capped
-// output still matches the serial one.
+// work — the rows — so a 3-row image never has more than 3 rows in
+// flight however many workers are requested, and the capped output still
+// matches the serial one.
 func TestWorkersCappedByWork(t *testing.T) {
 	k := &Kernel{Name: "short", OutWidth: 64, OutHeight: 3, Channels: 1,
 		Trees: []*Expr{Load(0, 0, 0)}}
@@ -294,8 +291,6 @@ func TestWorkersCappedByWork(t *testing.T) {
 		for _, spec := range []liftedkernels.ScheduleSpec{
 			{Workers: 16},
 			{Workers: 0},
-			{Workers: 16, Stages: []liftedkernels.StageSched{{TileW: 64, TileH: 1}}},
-			{Workers: 16, Stages: []liftedkernels.StageSched{{TileW: 64, TileH: 2}}},
 		} {
 			rk := kk.Runtime()
 			peak := concurrency(rk)
@@ -303,11 +298,7 @@ func TestWorkersCappedByWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			limit := int64(kk.OutHeight) // row strips, or 1-row tile bands
-			if len(spec.Stages) > 0 {
-				th := int64(spec.Stages[0].TileH)
-				limit = (int64(kk.OutHeight) + th - 1) / th
-			}
+			limit := int64(kk.OutHeight)
 			if got := peak.Load(); got < 1 || got > limit {
 				t.Errorf("%s %+v: %d rows in flight, want within [1, %d]", kk.Name, spec, got, limit)
 			}

@@ -1,8 +1,8 @@
 // The register-program tier on the shared runtime.  A CompiledKernel does
 // not schedule itself: each channel program is exposed as a
 // liftedkernels.RowFunc, and the liftedkernels runtime — the same row
-// strips, cache tiles, sliding-window fusion and scan-order error merging
-// the generated kernels run under — renders whole regions from those rows.
+// strips, sliding-window fusion and scan-order error merging the
+// generated kernels run under — renders whole regions from those rows.
 // Values, error positions and error messages match the interpreter under
 // every ScheduleSpec.
 package ir

@@ -64,7 +64,7 @@ func compiledCorpus(t *testing.T, cfg legacy.Config) []compiledKernel {
 // geometry: every corpus kernel with a register form, at widths 1–17
 // (around the generated code's 8-lane batch cut), at each stage's register
 // chunk width ±1 (where a row splits into two chunks) and two odd heights,
-// under the serial schedule, the committed one, 3 workers, 8x2 tiles and —
+// under the serial schedule, the committed one, 3 and 2 workers and —
 // where the chain streams — sliding-window fusion.  Output must be
 // byte-equal to EvalIRAt.
 func TestCompiledGeometryDifferential(t *testing.T) {
@@ -74,12 +74,11 @@ func TestCompiledGeometryDifferential(t *testing.T) {
 	}
 	for _, ckn := range compiledCorpus(t, legacy.Config{Width: 40, Height: 24, Seed: 1}) {
 		kname, res, c := ckn.name, ckn.res, ckn.c
-		n := len(res.Stages)
 		scheds := []*schedule.Schedule{
 			{Workers: 1},
 			set.For(kname),
 			{Workers: 3},
-			{Workers: 2, Stages: fillStages(n, schedule.Stage{TileW: 8, TileH: 2})},
+			{Workers: 2},
 		}
 		if c.Fusable() {
 			scheds = append(scheds, &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 2})
@@ -144,11 +143,8 @@ func TestCompiledResultConcurrent(t *testing.T) {
 				t.Fatalf("%s %dx%d serial: %v", ckn.name, w, h, err)
 			}
 			sc := &schedule.Schedule{Workers: 1 + g%3}
-			if g%2 == 1 {
-				sc.Stages = fillStages(len(res.Stages), schedule.Stage{TileW: 4 + g, TileH: 3})
-			}
 			if g%4 == 3 && c.Fusable() {
-				sc = &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 2, WindowRows: g}
+				sc = &schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 2}
 			}
 			jobs[g] = job{w, h, src, sc, want}
 		}

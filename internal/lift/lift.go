@@ -822,24 +822,24 @@ func (c *CompiledResult) EvalAt(src ir.Source, outW, outH int) ([]byte, error) {
 // or more stages, all unmapped stencils, with planar single-channel
 // intermediates whose footprints the runtime's validation accepts.
 func (c *CompiledResult) Fusable() bool {
-	_, err := c.RingRows(0)
+	_, err := c.RingRows()
 	return err == nil
 }
 
 // RingRows reports the fused intermediate ring heights (one per stage
-// gap) at the lifted geometry under the given window setting.
-func (c *CompiledResult) RingRows(windowRows int) ([]int, error) {
+// gap) at the lifted geometry.
+func (c *CompiledResult) RingRows() ([]int, error) {
 	if c.fuseErr != nil {
 		return nil, c.fuseErr
 	}
 	w, h := c.res.EvalDims()
-	return c.fused.RingRows(w, h, windowRows)
+	return c.fused.RingRows(w, h)
 }
 
 // EvalScheduledAt runs the compiled chain under an explicit schedule at a
 // fresh final geometry: slidingWindow fusion streams the stages through
-// the runtime's ring buffers, materialize renders each stage with the
-// schedule's tile and worker settings.  src must have a flat backing (see
+// the runtime's ring buffers, materialize renders each stage in the
+// schedule's worker row strips.  src must have a flat backing (see
 // ir.ImageOf).  Output and errors are identical to EvalAt for every valid
 // schedule.
 func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *schedule.Schedule) ([]byte, error) {
@@ -865,18 +865,14 @@ func (c *CompiledResult) EvalScheduledAt(src ir.Source, outW, outH int, sc *sche
 
 // materialize runs the stage chain — the one lift.chain shared with the
 // interpreter — rendering every stencil stage through its runtime kernel
-// under stage i's slice of spec.
+// under a materializing spec.
 func (c *CompiledResult) materialize(src ir.Source, outW, outH int, spec liftedkernels.ScheduleSpec) ([]byte, error) {
 	return c.res.chain(src, outW, outH, func(i int, k *ir.Kernel, s ir.Source) ([]byte, error) {
 		img, err := ir.ImageOf(s)
 		if err != nil {
 			return nil, err
 		}
-		st := liftedkernels.ScheduleSpec{Workers: spec.Workers}
-		if i < len(spec.Stages) {
-			st.Stages = spec.Stages[i : i+1]
-		}
-		return c.kerns[i].EvalInto(new(liftedkernels.Scratch), img, k.OutWidth, k.OutHeight, st)
+		return c.kerns[i].EvalInto(new(liftedkernels.Scratch), img, k.OutWidth, k.OutHeight, spec)
 	}, nil)
 }
 

@@ -10,10 +10,9 @@ import (
 )
 
 // TestScheduledCorpusMatchesVM runs every corpus kernel under a spread of
-// schedules — materialize with explicit tiles and worker counts,
-// and (for multi-stage pipelines) sliding-window fusion at several window
-// sizes — and demands byte-exact agreement with the legacy binary's own
-// output.  This is the schedule layer's core contract: a schedule changes
+// schedules — materialize at several worker counts, and (for multi-stage
+// pipelines) sliding-window fusion serial and parallel — and demands
+// byte-exact agreement with the legacy binary's own output.  This is the schedule layer's core contract: a schedule changes
 // only the execution strategy, never the result.
 func TestScheduledCorpusMatchesVM(t *testing.T) {
 	cfg := legacy.Config{Width: 30, Height: 19, Seed: 5}
@@ -27,17 +26,16 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		nStages := len(res.Stages)
 		scheds := []*schedule.Schedule{
 			schedule.Default(),
 			{Workers: 1},
-			{Workers: 4, Stages: fillStages(nStages, schedule.Stage{TileW: 16, TileH: 4})},
-			{Workers: 3, Stages: fillStages(nStages, schedule.Stage{TileW: 8, TileH: 2})},
+			{Workers: 4},
+			{Workers: 3},
 		}
 		if c.Fusable() {
 			scheds = append(scheds,
 				&schedule.Schedule{Fusion: schedule.SlidingWindow},
-				&schedule.Schedule{Fusion: schedule.SlidingWindow, WindowRows: 5, Workers: 4},
+				&schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 4},
 			)
 		}
 		for _, sc := range scheds {
@@ -46,14 +44,6 @@ func TestScheduledCorpusMatchesVM(t *testing.T) {
 			}
 		}
 	}
-}
-
-func fillStages(n int, st schedule.Stage) []schedule.Stage {
-	out := make([]schedule.Stage, n)
-	for i := range out {
-		out[i] = st
-	}
-	return out
 }
 
 // TestBlur2pFusedBitExactAndSmall is the acceptance test of the tentpole:
@@ -78,7 +68,7 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 		t.Fatal("blur2p must be fusable")
 	}
 
-	rings, err := c.RingRows(0)
+	rings, err := c.RingRows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +98,7 @@ func TestBlur2pFusedBitExactAndSmall(t *testing.T) {
 	}
 	for _, sc := range []*schedule.Schedule{
 		{Fusion: schedule.SlidingWindow, Workers: 1},
-		{Fusion: schedule.SlidingWindow, Workers: 1, WindowRows: 8},
 		{Fusion: schedule.SlidingWindow, Workers: 4},
-		{Fusion: schedule.SlidingWindow, Workers: 4, WindowRows: 6},
 	} {
 		got, err := c.EvalScheduledAt(src, w, h, sc)
 		if err != nil {

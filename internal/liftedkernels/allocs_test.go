@@ -1,8 +1,8 @@
 // Steady-state allocation gate: the Scratch-based entry points promise
 // zero allocations per evaluation once the scratch has warmed up — the
 // shape a render loop or benchmark harness relies on.  Single-stage
-// kernels (plain and autotuned-tile drivers), the sliding-window fused
-// multi-stage pipeline, and the reduction all hold the guarantee.
+// kernels, the sliding-window fused multi-stage pipeline, and the
+// reduction all hold the guarantee.
 package liftedkernels_test
 
 import (
@@ -82,20 +82,20 @@ func TestEvalIntoSteadyStateAllocFree(t *testing.T) {
 			}
 		}
 
-		if gk.Tuned != nil {
-			sc := new(liftedkernels.Scratch)
-			if _, err := gk.EvalTunedInto(sc, img, w, h); err != nil {
-				t.Fatalf("%s: EvalTunedInto: %v", k.Name, err)
+		// The embedded schedule exactly as registered, Workers 0 included:
+		// AllocsPerRun pins GOMAXPROCS to 1, so it resolves to one worker.
+		sc := new(liftedkernels.Scratch)
+		if _, err := gk.EvalInto(sc, img, w, h, gk.Sched); err != nil {
+			t.Fatalf("%s: EvalInto(Sched): %v", k.Name, err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := gk.EvalInto(sc, img, w, h, gk.Sched); err != nil {
+				t.Fatalf("%s: EvalInto(Sched): %v", k.Name, err)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := gk.EvalTunedInto(sc, img, w, h); err != nil {
-					t.Fatalf("%s: EvalTunedInto: %v", k.Name, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: EvalTunedInto allocates %.0f times per run in steady state; want 0",
-					k.Name, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: EvalInto(Sched) allocates %.0f times per run in steady state; want 0",
+				k.Name, allocs)
 		}
 	}
 }

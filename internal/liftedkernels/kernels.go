@@ -3,7 +3,6 @@
 package liftedkernels
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -52,7 +51,7 @@ func init() {
 			},
 		},
 		FusedStrip: fusedBlur2p,
-		Sched:      ScheduleSpec{Workers: 0, Fusion: "slidingWindow", WindowRows: 0},
+		Sched:      ScheduleSpec{Workers: 0, Fusion: "slidingWindow"},
 	})
 }
 
@@ -593,8 +592,6 @@ func init() {
 		DefaultHeight: 24,
 		LaneBits:      []int{32},
 		Rows:          []RowFunc{rowClampsharpC0},
-		Tuned:         tunedClampsharp,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 256, TileH: 32}}},
 	})
 }
 
@@ -823,40 +820,6 @@ func rowClampsharpC0(dst []byte, step int, img *Image, y, xbase, n int) (int, er
 	return -1, nil
 }
 
-// tunedClampsharp renders through the tuned 256x32 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
-func tunedClampsharp(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
-	const tileW, tileH = 256, 32
-	out := sc.outBuf(outW * outH * 1)
-	var first *rowErr
-	for ty := 0; ty < outH; ty += tileH {
-		th := outH - ty
-		if th > tileH {
-			th = tileH
-		}
-		for tx := 0; tx < outW; tx += tileW {
-			tw := outW - tx
-			if tw > tileW {
-				tw = tileW
-			}
-			for y := ty; y < ty+th; y++ {
-				x, err := rowClampsharpC0(out[(y*outW+tx)*1:], 1, img, y+0, 0+tx, tw)
-				if err != nil {
-					e := &rowErr{y: y, x: x + tx, c: 0, err: err}
-					if first == nil || e.before(first) {
-						first = e
-					}
-					break
-				}
-			}
-		}
-	}
-	if first != nil {
-		return nil, fmt.Errorf("ir: kernel clampsharp at (%d,%d,%d): %w", first.x, first.y, first.c, first.err)
-	}
-	return out, nil
-}
-
 // downsample2x is the lifted stencil
 //
 //	// downsample2x: 20x12x1
@@ -874,8 +837,6 @@ func init() {
 		DefaultHeight: 12,
 		LaneBits:      []int{16},
 		Rows:          []RowFunc{rowDownsample2xC0},
-		Tuned:         tunedDownsample2x,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -998,40 +959,6 @@ func rowDownsample2xC0(dst []byte, step int, img *Image, y, xbase, n int) (int, 
 		dst[x*step] = uint8(v2)
 	}
 	return -1, nil
-}
-
-// tunedDownsample2x renders through the tuned 128x16 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
-func tunedDownsample2x(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
-	const tileW, tileH = 128, 16
-	out := sc.outBuf(outW * outH * 1)
-	var first *rowErr
-	for ty := 0; ty < outH; ty += tileH {
-		th := outH - ty
-		if th > tileH {
-			th = tileH
-		}
-		for tx := 0; tx < outW; tx += tileW {
-			tw := outW - tx
-			if tw > tileW {
-				tw = tileW
-			}
-			for y := ty; y < ty+th; y++ {
-				x, err := rowDownsample2xC0(out[(y*outW+tx)*1:], 1, img, y+0, 0+tx, tw)
-				if err != nil {
-					e := &rowErr{y: y, x: x + tx, c: 0, err: err}
-					if first == nil || e.before(first) {
-						first = e
-					}
-					break
-				}
-			}
-		}
-	}
-	if first != nil {
-		return nil, fmt.Errorf("ir: kernel downsample2x at (%d,%d,%d): %w", first.x, first.y, first.c, first.err)
-	}
-	return out, nil
 }
 
 // hist256 is the lifted reduction
@@ -1162,7 +1089,6 @@ func init() {
 			Row:    redHisteq,
 		},
 		RedFirst: true,
-		Sched:    ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -2204,8 +2130,6 @@ func init() {
 		DefaultHeight: 48,
 		LaneBits:      []int{8},
 		Rows:          []RowFunc{rowUpsample2xC0},
-		Tuned:         tunedUpsample2x,
-		Sched:         ScheduleSpec{Workers: 0, Fusion: "materialize", WindowRows: 0, Stages: []StageSched{{TileW: 128, TileH: 16}}},
 	})
 }
 
@@ -2238,38 +2162,4 @@ func rowUpsample2xC0(dst []byte, step int, img *Image, y, xbase, n int) (int, er
 		dst[x*step] = uint8(v0)
 	}
 	return -1, nil
-}
-
-// tunedUpsample2x renders through the tuned 128x16 tile blocking baked in as
-// literal loop bounds (the embedded schedule's serial fast path).
-func tunedUpsample2x(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
-	const tileW, tileH = 128, 16
-	out := sc.outBuf(outW * outH * 1)
-	var first *rowErr
-	for ty := 0; ty < outH; ty += tileH {
-		th := outH - ty
-		if th > tileH {
-			th = tileH
-		}
-		for tx := 0; tx < outW; tx += tileW {
-			tw := outW - tx
-			if tw > tileW {
-				tw = tileW
-			}
-			for y := ty; y < ty+th; y++ {
-				x, err := rowUpsample2xC0(out[(y*outW+tx)*1:], 1, img, y+0, 0+tx, tw)
-				if err != nil {
-					e := &rowErr{y: y, x: x + tx, c: 0, err: err}
-					if first == nil || e.before(first) {
-						first = e
-					}
-					break
-				}
-			}
-		}
-	}
-	if first != nil {
-		return nil, fmt.Errorf("ir: kernel upsample2x at (%d,%d,%d): %w", first.x, first.y, first.c, first.err)
-	}
-	return out, nil
 }

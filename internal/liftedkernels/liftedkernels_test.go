@@ -119,7 +119,7 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 			fusedSeen = true
 			specs = append(specs,
 				liftedkernels.ScheduleSpec{Workers: 1, Fusion: "slidingWindow"},
-				liftedkernels.ScheduleSpec{Workers: 4, Fusion: "slidingWindow", WindowRows: 5},
+				liftedkernels.ScheduleSpec{Workers: 4, Fusion: "slidingWindow"},
 			)
 		}
 		for _, spec := range specs {
@@ -132,11 +132,11 @@ func TestGeneratedHonorsScheduleSpec(t *testing.T) {
 				t.Errorf("%s: EvalSched(%+v) differs from Eval", k.Name, spec)
 			}
 		}
-		got, err := gk.EvalTuned(img, w, h)
+		got, err := gk.EvalSched(img, w, h, gk.Sched)
 		if err != nil {
-			t.Errorf("%s: EvalTuned: %v", k.Name, err)
+			t.Errorf("%s: EvalSched(embedded %+v): %v", k.Name, gk.Sched, err)
 		} else if !bytes.Equal(got, want) {
-			t.Errorf("%s: EvalTuned (schedule %+v) differs from Eval", k.Name, gk.Sched)
+			t.Errorf("%s: embedded schedule %+v differs from Eval", k.Name, gk.Sched)
 		}
 	}
 	if !fusedSeen {
@@ -247,7 +247,9 @@ func TestNonPositiveExtentsRejected(t *testing.T) {
 		{"EvalSched", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) {
 			return k.EvalSched(img, w, h, liftedkernels.ScheduleSpec{Workers: 3})
 		}},
-		{"EvalTuned", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) { return k.EvalTuned(img, w, h) }},
+		{"EvalInto(Sched)", func(k *liftedkernels.Kernel, w, h int) ([]byte, error) {
+			return k.EvalInto(new(liftedkernels.Scratch), img, w, h, k.Sched)
+		}},
 	}
 	for _, k := range liftedkernels.Kernels() {
 		for _, d := range [][2]int{{-1, 4}, {4, -1}, {0, 4}, {4, 0}, {-3, -3}} {
@@ -265,56 +267,6 @@ func TestNonPositiveExtentsRejected(t *testing.T) {
 					}
 				}()
 			}
-		}
-	}
-}
-
-// TestTiledFaultMatchesEval drives the cache-tiled driver over a faulting
-// kernel.  The tile extents divide neither output extent, and one tile
-// band holds two faults: the left tile's sits on a later row, so the
-// scan-order-first fault is in the tile to its right.  The tiled error —
-// serial and with workers splitting the bands — must be Eval's, and a
-// clean run must reproduce Eval's bytes.
-func TestTiledFaultMatchesEval(t *testing.T) {
-	type pt struct{ x, y int }
-	mk := func(faults ...pt) *liftedkernels.Kernel {
-		row := func(dst []byte, step int, img *liftedkernels.Image, y, xbase, n int) (int, error) {
-			for x := 0; x < n; x++ {
-				for _, f := range faults {
-					if f.x == xbase+x && f.y == y {
-						return x, fmt.Errorf("synthetic fault at input (%d,%d)", f.x, f.y)
-					}
-				}
-				dst[x*step] = byte(7*(xbase+x) + 3*y)
-			}
-			return -1, nil
-		}
-		return &liftedkernels.Kernel{Name: "tiled", Channels: 1, Rows: []liftedkernels.RowFunc{row}}
-	}
-	img := &liftedkernels.Image{Pix: make([]byte, 256), Stride: 16, PixStep: 1}
-	const w, h = 10, 7
-	tiles := []liftedkernels.StageSched{{TileW: 3, TileH: 2}}
-
-	clean := mk()
-	want, err := clean.Eval(img, w, h)
-	if err != nil {
-		t.Fatalf("clean Eval: %v", err)
-	}
-	// Band 1 covers rows [2,4): tile x∈[0,3) faults at row 3, tile
-	// x∈[6,9) at row 2 — the scan-first one.  Band 3 adds a later fault.
-	faulty := mk(pt{1, 3}, pt{7, 2}, pt{0, 6})
-	_, werr := faulty.Eval(img, w, h)
-	if werr == nil || werr.Error() != "ir: kernel tiled at (7,2,0): synthetic fault at input (7,2)" {
-		t.Fatalf("serial reference error = %v", werr)
-	}
-	for _, workers := range []int{1, 3} {
-		spec := liftedkernels.ScheduleSpec{Workers: workers, Stages: tiles}
-		got, err := clean.EvalSched(img, w, h, spec)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: clean tiled eval = %v, %v; want Eval's bytes", workers, got, err)
-		}
-		if _, gerr := faulty.EvalSched(img, w, h, spec); gerr == nil || gerr.Error() != werr.Error() {
-			t.Errorf("workers=%d: tiled error %q, want %q", workers, gerr, werr)
 		}
 	}
 }

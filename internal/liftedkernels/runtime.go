@@ -9,10 +9,10 @@
 // edited by hand.  This file, runtime.go, is the hand-written runtime the
 // generated half compiles against: the Image geometry, the Kernel driver
 // with reference-exact error selection, the ScheduleSpec execution layer
-// (worker row strips, cache tiles, sliding-window stage fusion), the
-// reduction driver and the shared error constructors.  It is the one
-// scheduling runtime: the register-program tier of helium/internal/ir
-// runs here too, its channel programs exposed as RowFuncs.
+// (worker row strips, sliding-window stage fusion), the reduction driver
+// and the shared error constructors.  It is the one scheduling runtime:
+// the register-program tier of helium/internal/ir runs here too, its
+// channel programs exposed as RowFuncs.
 //
 // Values, error positions and error messages are bit-identical to the
 // helium/internal/ir interpreter and register executors — under every
@@ -63,37 +63,8 @@ type ScheduleSpec struct {
 	// Fusion is the inter-stage strategy of multi-stage pipelines:
 	// "" or "materialize" computes every stage fully into a fresh
 	// intermediate buffer; "slidingWindow" streams the stages through
-	// ring buffers sized to the consumer's row footprint.
+	// ring buffers as tall as the consumer's row footprint.
 	Fusion string
-	// WindowRows is the ring height under slidingWindow; 0 picks the
-	// minimal window, values clamp to [footprint, stage height].
-	WindowRows int
-	// Stages holds per-stage tile overrides; missing entries mean plain
-	// row strips.
-	Stages []StageSched
-}
-
-// StageSched is one stage's tile override within a ScheduleSpec: the
-// stage's output blocks into TileW x TileH cache tiles (0 keeps straight
-// row strips).
-type StageSched struct {
-	TileW, TileH int
-}
-
-// stageTile resolves stage i's tile override (0, 0 when unset).
-func (s ScheduleSpec) stageTile(i int) (int, int) {
-	if i < 0 || i >= len(s.Stages) {
-		return 0, 0
-	}
-	return s.Stages[i].TileW, s.Stages[i].TileH
-}
-
-// effWorkers resolves the worker count (<= 0 means GOMAXPROCS).
-func (s ScheduleSpec) effWorkers() int {
-	if s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
 }
 
 // Serial is the reference schedule: one worker, materializing chaining.
@@ -132,15 +103,15 @@ type Kernel struct {
 	RedFirst     bool
 	RedDW, RedDH int
 	// Sched is the autotuned default schedule (zero when the kernel was
-	// generated without one); EvalTuned runs it.
+	// generated without one); EvalInto(sc, img, w, h, k.Sched) runs it.
 	Sched ScheduleSpec
-	// Tuned, when non-nil, is the generated schedule-baked serial driver:
-	// the autotuned tile extents are literal constants in its loop nest.
-	// EvalTuned dispatches to it when Sched resolves to one worker.
+	// Tuned is always nil: the generator emits no schedule-baked
+	// drivers.  Only the perfbench harness still reads the field, which
+	// goes with the next change to perfbench.
 	Tuned func(sc *Scratch, img *Image, outW, outH int) ([]byte, error)
 	// FusedStrip, when non-nil, is the generated footprint-specialized
-	// sliding-window strip driver; the fused executor dispatches to it at
-	// the minimal window instead of the generic ring interpreter.
+	// sliding-window strip driver; the fused executor dispatches to it
+	// instead of the generic ring interpreter.
 	FusedStrip FusedStripFunc
 }
 
@@ -306,26 +277,6 @@ func (k *Kernel) Eval(img *Image, outW, outH int) ([]byte, error) {
 	return k.EvalSched(img, outW, outH, Serial())
 }
 
-// EvalTuned is Eval under the kernel's autotuned default schedule.  When
-// the schedule resolves to one worker and the generator baked a serial
-// tuned driver, that driver runs instead of the generic dispatch.
-func (k *Kernel) EvalTuned(img *Image, outW, outH int) ([]byte, error) {
-	return k.EvalTunedInto(new(Scratch), img, outW, outH)
-}
-
-// EvalTunedInto is EvalTuned against caller-owned scratch.
-func (k *Kernel) EvalTunedInto(sc *Scratch, img *Image, outW, outH int) ([]byte, error) {
-	if k.Tuned != nil && k.Sched.effWorkers() == 1 {
-		// The baked driver assumes a non-empty region; only single-stage
-		// kernels carry one.
-		if err := k.checkExtent(outW, outH); err != nil {
-			return nil, err
-		}
-		return k.Tuned(sc, img, outW, outH)
-	}
-	return k.EvalInto(sc, img, outW, outH, k.Sched)
-}
-
 // EvalSched is Eval under an explicit schedule.  The output — and any
 // reported error, position and message included — is identical to Eval's
 // for every valid spec.
@@ -375,13 +326,7 @@ func (k *Kernel) EvalInto(sc *Scratch, img *Image, outW, outH int, spec Schedule
 		return k.evalReduction(sc, img, outW, outH)
 	}
 	out := sc.outBuf(outW * outH * k.Channels)
-	var e *rowErr
-	if tw, th := spec.stageTile(0); tw > 0 || th > 0 {
-		e = evalTiled(out, img, k.Channels, k.OriginX, k.OriginY, outW, outH, tw, th, spec.Workers, k.Rows, k.RowAll)
-	} else {
-		e = evalStrips(out, img, k.Channels, k.OriginX, k.OriginY, outW, 0, outH, spec.Workers, k.Rows, k.RowAll)
-	}
-	if e != nil {
+	if e := evalStrips(out, img, k.Channels, k.OriginX, k.OriginY, outW, 0, outH, spec.Workers, k.Rows, k.RowAll); e != nil {
 		return nil, k.rowError(-1, e)
 	}
 	return out, nil
@@ -514,118 +459,26 @@ func evalStrips(out []byte, img *Image, channels, originX, originY, outW, y0, y1
 	return best
 }
 
-// runTile renders one output tile (tx, ty, tw, th) row by row, returning
-// the tile's scan-order-first failure with coordinates rebased to the
-// full output.
-func runTile(out []byte, img *Image, channels, originX, originY, outW, tx, ty, tw, th int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	for y := ty; y < ty+th; y++ {
-		if e := runRow(out[(y*outW+tx)*channels:], img, channels, originX+tx, originY, y, tw, rows, rowAll); e != nil {
-			e.x += tx
-			return e
-		}
-	}
-	return nil
-}
-
-// renderTileBands renders tile bands [b0, b1) of a tileW x tileH blocking
-// and returns the scan-order-first failure.  Tiles within a band share the
-// row range, so a band's first erroring tile in tx order is NOT
-// necessarily scan-first — every tile's error is min-merged.
-func renderTileBands(out []byte, img *Image, channels, originX, originY, outW, outH, tileW, tileH, b0, b1 int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	var best *rowErr
-	for b := b0; b < b1; b++ {
-		ty := b * tileH
-		th := outH - ty
-		if th > tileH {
-			th = tileH
-		}
-		for tx := 0; tx < outW; tx += tileW {
-			tw := outW - tx
-			if tw > tileW {
-				tw = tileW
-			}
-			if e := runTile(out, img, channels, originX, originY, outW, tx, ty, tw, th, rows, rowAll); e != nil && (best == nil || e.before(best)) {
-				best = e
-			}
-		}
-	}
-	return best
-}
-
-// evalTiled renders the output through a cache-blocked tileW x tileH loop
-// nest — the schedule's literal tile extents — splitting tile bands over
-// workers.  Values and the reported error match evalStrips exactly.
-func evalTiled(out []byte, img *Image, channels, originX, originY, outW, outH, tileW, tileH, workers int, rows []RowFunc, rowAll RowAllFunc) *rowErr {
-	if tileW <= 0 || tileW > outW {
-		tileW = outW
-	}
-	if tileH <= 0 || tileH > outH {
-		tileH = outH
-	}
-	if outW <= 0 || outH <= 0 {
-		return nil
-	}
-	bands := (outH + tileH - 1) / tileH
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > bands {
-		workers = bands
-	}
-	if workers <= 1 {
-		return renderTileBands(out, img, channels, originX, originY, outW, outH, tileW, tileH, 0, bands, rows, rowAll)
-	}
-	errs := make([]*rowErr, workers)
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		// Band bounds and the clamped tile extents travel as arguments:
-		// capturing reassigned variables (workers, tileW, tileH above)
-		// would heap-allocate them at function entry, on the serial path
-		// too.
-		b0 := t * bands / workers
-		b1 := (t + 1) * bands / workers
-		wg.Add(1)
-		go func(t, tw, th, b0, b1 int) {
-			defer wg.Done()
-			errs[t] = renderTileBands(out, img, channels, originX, originY, outW, outH, tw, th, b0, b1, rows, rowAll)
-		}(t, tileW, tileH, b0, b1)
-	}
-	wg.Wait()
-	var best *rowErr
-	for _, e := range errs {
-		if e != nil && (best == nil || e.before(best)) {
-			best = e
-		}
-	}
-	return best
-}
-
 // evalStages chains the pipeline under the schedule and returns the last
 // stage's output as an image (the reduction driver's input when the
 // kernel ends in one).  Every stage renders at the requested output size
 // shifted by its recorded extent deltas.
 func (k *Kernel) evalStages(sc *Scratch, img *Image, outW, outH int, spec ScheduleSpec) (*Image, error) {
 	n := len(k.Stages)
-	dims := sc.ints(3 * n)
-	ws, hs, rings := dims[:n:n], dims[n:2*n:2*n], dims[2*n:3*n-1]
+	dims := sc.ints(2 * n)
+	ws, hs := dims[:n:n], dims[n:2*n:2*n]
 	if err := k.stageExtents(ws, hs, outW, outH); err != nil {
 		return nil, err
 	}
 	if spec.Fusion == "slidingWindow" {
-		return k.evalStagesFused(sc, img, ws, hs, rings, spec)
+		return k.evalStagesFused(sc, img, ws, hs, spec)
 	}
 	cur := img
 	for si := range k.Stages {
 		st := &k.Stages[si]
 		w, h := ws[si], hs[si]
 		out := sc.buf(si, w*h*st.Channels)
-		var e *rowErr
-		if tw, th := spec.stageTile(si); tw > 0 || th > 0 {
-			e = evalTiled(out, cur, st.Channels, st.OriginX, st.OriginY, w, h, tw, th, spec.Workers, st.Rows, st.RowAll)
-		} else {
-			e = evalStrips(out, cur, st.Channels, st.OriginX, st.OriginY, w, 0, h, spec.Workers, st.Rows, st.RowAll)
-		}
-		if e != nil {
+		if e := evalStrips(out, cur, st.Channels, st.OriginX, st.OriginY, w, 0, h, spec.Workers, st.Rows, st.RowAll); e != nil {
 			return nil, k.rowError(si, e)
 		}
 		ni := sc.img(si)
@@ -651,23 +504,33 @@ func (k *Kernel) stageExtents(ws, hs []int, outW, outH int) error {
 // RingRows reports the ring heights (one per stage gap) the sliding-window
 // executor streams through when the final stage renders outW x outH, or
 // why the pipeline cannot stream.
-func (k *Kernel) RingRows(outW, outH, windowRows int) ([]int, error) {
+func (k *Kernel) RingRows(outW, outH int) ([]int, error) {
 	n := len(k.Stages)
 	if n < 2 {
 		return nil, fmt.Errorf("ir: kernel %s: slidingWindow fusion needs at least 2 stages, kernel has %d", k.Name, n)
 	}
-	ws, hs, rings := make([]int, n), make([]int, n), make([]int, n-1)
+	ws, hs := make([]int, n), make([]int, n)
 	if err := k.stageExtents(ws, hs, outW, outH); err != nil {
 		return nil, err
 	}
-	return rings, k.ringRows(ws, hs, windowRows, rings)
+	if err := k.checkStreamable(ws, hs); err != nil {
+		return nil, err
+	}
+	rings := make([]int, n-1)
+	for si := 1; si < n; si++ {
+		rings[si-1] = k.Stages[si].rowFootprint()
+	}
+	return rings, nil
 }
 
-// ringRows checks that every intermediate streams — planar single-channel,
-// with the consumer's read footprint inside its producer — and writes each
-// gap's ring height into rings: windowRows 0 picks the minimal window (the
-// consumer's row footprint), larger values clamp to the producer height.
-func (k *Kernel) ringRows(ws, hs []int, windowRows int, rings []int) error {
+// rowFootprint is the number of producer rows one output row of the stage
+// reads: the height of the ring its producer streams through.
+// checkStreamable keeps it within the producer's height.
+func (st *StageSpec) rowFootprint() int { return st.MaxDY - st.MinDY + 1 }
+
+// checkStreamable checks that every intermediate streams: planar
+// single-channel, with the consumer's read footprint inside its producer.
+func (k *Kernel) checkStreamable(ws, hs []int) error {
 	for si := 1; si < len(k.Stages); si++ {
 		st := &k.Stages[si]
 		if k.Stages[si-1].Channels != 1 {
@@ -681,7 +544,6 @@ func (k *Kernel) ringRows(ws, hs []int, windowRows int, rings []int) error {
 			// full plane; erroring keeps fusion result-identical or loud.
 			return fmt.Errorf("ir: kernel %s stage %d reads columns [%d,%d], outside its %d-column producer", k.Name, si, st.MinDX, ws[si]-1+st.MaxDX, ws[si-1])
 		}
-		rings[si-1] = min(max(windowRows, st.MaxDY-st.MinDY+1), hs[si-1])
 	}
 	return nil
 }
@@ -692,15 +554,16 @@ type fusedStage struct {
 	st   *StageSpec
 	w, h int
 	in   *Image // the image this stage reads
-	// Ring buffer of this stage's output (nil for the final stage).
-	ring             []byte
-	stride           int
-	ringRows, winOut int
-	yBase            int
-	ringImg          Image // what the consumer reads; Base tracks yBase
-	cursor, hi       int
-	alive            bool
-	fe               *rowErr
+	// Ring buffer of this stage's output (nil for the final stage), as
+	// tall as the consumer's row footprint.
+	ring       []byte
+	stride     int
+	ringRows   int
+	yBase      int
+	ringImg    Image // what the consumer reads; Base tracks yBase
+	cursor, hi int
+	alive      bool
+	fe         *rowErr
 }
 
 // evalStagesFused streams the pipeline: a producer stage computes only
@@ -709,9 +572,9 @@ type fusedStage struct {
 // rows and recompute their halo rows independently; per-stage errors
 // merge to the scan-order first, and the earliest erroring stage wins —
 // exactly the materializing executor's reporting.
-func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs, rings []int, spec ScheduleSpec) (*Image, error) {
+func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs []int, spec ScheduleSpec) (*Image, error) {
 	n := len(k.Stages)
-	if err := k.ringRows(ws, hs, spec.WindowRows, rings); err != nil {
+	if err := k.checkStreamable(ws, hs); err != nil {
 		return nil, err
 	}
 	last := n - 1
@@ -727,16 +590,15 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs, rings []int, s
 	if strips < 1 {
 		strips = 1
 	}
-	// The generated footprint-specialized strip driver replaces the
-	// generic ring dispatch only at the minimal window (an explicit
-	// WindowRows widens the ring, which the baked body does not model).
-	gen := k.FusedStrip != nil && spec.WindowRows == 0
+	// The generated footprint-specialized strip driver, when there is
+	// one, replaces the generic ring dispatch.
+	gen := k.FusedStrip != nil
 	if strips == 1 {
 		errs := sc.errSlots(n)
 		if gen {
 			k.FusedStrip(sc, img, out, ws, hs, 0, hs[last], true, true, errs)
 		} else {
-			k.fusedStrip(sc, img, out, ws, hs, rings, 0, hs[last], true, true, errs)
+			k.fusedStrip(sc, img, out, ws, hs, 0, hs[last], true, true, errs)
 		}
 		for si := 0; si < n; si++ {
 			if e := errs[si]; e != nil {
@@ -766,7 +628,7 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs, rings []int, s
 			if gen {
 				k.FusedStrip(wsc, img, out, ws, hs, s0, s1, first, drain, se)
 			} else {
-				k.fusedStrip(wsc, img, out, ws, hs, rings, s0, s1, first, drain, se)
+				k.fusedStrip(wsc, img, out, ws, hs, s0, s1, first, drain, se)
 			}
 		}(wsc, se, s0, s1, first, drain)
 	}
@@ -788,13 +650,12 @@ func (k *Kernel) evalStagesFused(sc *Scratch, img *Image, ws, hs, rings []int, s
 }
 
 // fusedStrip streams final-stage rows [s0, s1) through the chain and
-// returns each stage's first error (nil entries for clean stages); rings
-// holds the per-gap ring heights ringRows sized.  The
+// returns each stage's first error (nil entries for clean stages).  The
 // first and drain strips also produce the producer rows no consumer row
 // pulls — below and above the consumers' summed footprint — because the
 // materializing chain computes every producer row and an error in one of
 // them must not be lost.
-func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs, rings []int, s0, s1 int, first, drain bool, errs []*rowErr) {
+func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs []int, s0, s1 int, first, drain bool, errs []*rowErr) {
 	n := len(k.Stages)
 	fs := sc.stages(n)
 	fs[n-1].cursor, fs[n-1].hi = s0, s1
@@ -816,7 +677,7 @@ func (k *Kernel) fusedStrip(sc *Scratch, img *Image, out []byte, ws, hs, rings [
 		s.w, s.h = ws[i], hs[i]
 		s.alive = true
 		if i < n-1 {
-			s.winOut, s.ringRows = k.Stages[i+1].MaxDY-k.Stages[i+1].MinDY+1, rings[i]
+			s.ringRows = k.Stages[i+1].rowFootprint()
 			s.stride = ws[i] // intermediates are planar single-channel
 			s.ring = sc.buf(i, s.ringRows*s.stride)
 			s.yBase = s.cursor
@@ -864,12 +725,11 @@ func fusedProduce(fs []fusedStage, out []byte, i int) {
 	} else {
 		ph := y - s.yBase
 		if ph >= s.ringRows {
-			// Recycle: slide the last winOut-1 rows (still needed by the
-			// consumer) to the top and move the consumer's view so logical
-			// row numbers stay put.
-			shift := s.ringRows - (s.winOut - 1)
-			copy(s.ring, s.ring[shift*s.stride:s.ringRows*s.stride])
-			s.yBase += shift
+			// Recycle: slide the last ringRows-1 rows (still needed by the
+			// consumer) up one and move the consumer's view so logical row
+			// numbers stay put.
+			copy(s.ring, s.ring[s.stride:s.ringRows*s.stride])
+			s.yBase++
 			s.ringImg.Base = -s.yBase * s.stride
 			ph = y - s.yBase
 		}

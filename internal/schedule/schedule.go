@@ -1,20 +1,27 @@
 // Package schedule is the execution-strategy half of the algorithm/schedule
 // split the source paper's speedups rest on.  A lifted kernel (the
 // algorithm) says only *what* each output sample is; a Schedule says *how*
-// the executors should compute it: how output tiles are blocked, how many
-// workers render them, and — for multi-stage pipelines — whether
-// intermediate stages materialize full planes or stream through a sliding
-// window of ring-buffered rows.
+// the executors should compute it: how many workers render its row strips
+// and — for multi-stage pipelines — whether intermediate stages
+// materialize full planes or stream through minimal rings of buffered
+// rows.
+//
+// Those two knobs are the ones that measured.  Cache tiles and explicit
+// ring heights were knobs too; timed at 1024x768 against plain row strips
+// (60 alternating pairs per comparison, both the generated and the
+// register-program tier) no tile shape won on any kernel — tiled/strip
+// median ratios 1.02–1.25 on the generated tier, 0.93–1.19 with no
+// consistent sign on the compiled one — and blur2p's ring heights of 0, 8
+// and 32 rows timed within noise, so both were removed.
 //
 // Schedules are plain data: Spec converts one to the liftedkernels
 // runtime's ScheduleSpec, which both the generated kernels and the
 // register programs run under.  The same pipeline runs under any valid
-// schedule and produces
-// bit-identical output (values, error positions and error messages), so a
-// tuner is free to search the schedule space and keep only the fastest
-// candidate.  The tuner (`helium tune`) persists its winners in a
-// schedules.json Set consumed by `helium run`, `helium gen` and the
-// generated package.
+// schedule and produces bit-identical output (values, error positions and
+// error messages), so a tuner is free to search the schedule space and
+// keep only the fastest candidate.  The tuner (`helium tune`) persists its
+// winners in a schedules.json Set consumed by `helium run`, `helium gen`
+// and the generated package.
 package schedule
 
 import (
@@ -37,19 +44,11 @@ const (
 	// strategy, maximally parallel within a stage.
 	Materialize Fusion = "materialize"
 	// SlidingWindow streams stages: a producer stage computes only the
-	// rows its consumer still needs, ring-buffered, so deep pipelines
-	// never allocate a full-size intermediate plane.
+	// rows its consumer still needs, into a ring as tall as the consumer's
+	// row footprint, so deep pipelines never allocate a full-size
+	// intermediate plane.
 	SlidingWindow Fusion = "slidingWindow"
 )
-
-// Stage is the per-stage half of a schedule.  Zero values mean "use the
-// executor's built-in heuristic".
-type Stage struct {
-	// TileW and TileH block the stage's output into cache tiles (clamped
-	// to the stage output); 0 keeps straight row strips.
-	TileW int `json:"tile_w,omitempty"`
-	TileH int `json:"tile_h,omitempty"`
-}
 
 // Schedule is one kernel's complete execution strategy.
 type Schedule struct {
@@ -57,28 +56,18 @@ type Schedule struct {
 	Workers int `json:"workers,omitempty"`
 	// Fusion is the inter-stage strategy; empty means Materialize.
 	Fusion Fusion `json:"fusion,omitempty"`
-	// WindowRows is the ring-buffer height per intermediate plane under
-	// SlidingWindow; 0 picks the minimal window (the consumer stage's
-	// vertical footprint).  Values below the minimum are clamped up.
-	WindowRows int `json:"window_rows,omitempty"`
-	// Stages holds per-stage overrides; missing entries mean defaults.
-	Stages []Stage `json:"stages,omitempty"`
 }
 
 // Default returns the heuristic schedule: materialize every stage,
-// GOMAXPROCS workers, row strips.
+// GOMAXPROCS workers.
 func Default() *Schedule { return &Schedule{} }
 
 // Spec converts the schedule to the runtime's ScheduleSpec (nil converts
 // like Default).
 func (s *Schedule) Spec() liftedkernels.ScheduleSpec {
 	spec := liftedkernels.ScheduleSpec{Fusion: string(s.FusionKind())}
-	if s == nil {
-		return spec
-	}
-	spec.Workers, spec.WindowRows = s.Workers, s.WindowRows
-	for _, st := range s.Stages {
-		spec.Stages = append(spec.Stages, liftedkernels.StageSched{TileW: st.TileW, TileH: st.TileH})
+	if s != nil {
+		spec.Workers = s.Workers
 	}
 	return spec
 }
@@ -90,23 +79,6 @@ func (s *Schedule) FusionKind() Fusion {
 		return Materialize
 	}
 	return s.Fusion
-}
-
-// EffectiveWorkers resolves the worker count (0 means GOMAXPROCS).
-func (s *Schedule) EffectiveWorkers() int {
-	if s == nil || s.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Workers
-}
-
-// StageAt returns stage i's overrides, or the zero Stage when the
-// schedule does not spell them out.
-func (s *Schedule) StageAt(i int) Stage {
-	if s == nil || i < 0 || i >= len(s.Stages) {
-		return Stage{}
-	}
-	return s.Stages[i]
 }
 
 // Validate checks a schedule against a pipeline of nStages stages.
@@ -125,17 +97,6 @@ func (s *Schedule) Validate(nStages int) error {
 	if s.Workers < 0 {
 		return fmt.Errorf("schedule: negative worker count %d", s.Workers)
 	}
-	if s.WindowRows < 0 {
-		return fmt.Errorf("schedule: negative window rows %d", s.WindowRows)
-	}
-	if len(s.Stages) > nStages {
-		return fmt.Errorf("schedule: %d stage entries for a %d-stage pipeline", len(s.Stages), nStages)
-	}
-	for i, st := range s.Stages {
-		if st.TileW < 0 || st.TileH < 0 {
-			return fmt.Errorf("schedule: stage %d: negative tile %dx%d", i, st.TileW, st.TileH)
-		}
-	}
 	return nil
 }
 
@@ -145,17 +106,8 @@ func (s *Schedule) String() string {
 		return "default"
 	}
 	out := string(s.FusionKind())
-	if s.FusionKind() == SlidingWindow && s.WindowRows > 0 {
-		out += fmt.Sprintf("(%d)", s.WindowRows)
-	}
 	if s.Workers > 0 {
 		out += fmt.Sprintf(" workers=%d", s.Workers)
-	}
-	for i, st := range s.Stages {
-		if st == (Stage{}) {
-			continue
-		}
-		out += fmt.Sprintf(" s%d[tile=%dx%d]", i, st.TileW, st.TileH)
 	}
 	return out
 }
@@ -170,8 +122,8 @@ type Set struct {
 	GoMaxProcs int `json:"gomaxprocs"`
 	// Machine is the tuning machine's class key (MachineKey of the tuning
 	// run).  Consumers on a different machine class should warn before
-	// applying the set: a tile or worker count tuned elsewhere is a
-	// hypothesis there, not a measurement.
+	// applying the set: a worker count tuned elsewhere is a hypothesis
+	// there, not a measurement.
 	Machine string `json:"machine,omitempty"`
 	// Kernels maps kernel name to its winning schedule.
 	Kernels map[string]*Schedule `json:"kernels"`
@@ -207,7 +159,8 @@ func (s *Set) For(kernel string) *Schedule {
 }
 
 // Load reads a schedule set from a JSON file.  A field the schema does not
-// define (a retired knob such as "lane") is an error, not silently ignored.
+// define (a retired knob: per-stage lanes and tiles, ring heights) is an
+// error, not silently ignored.
 func Load(path string) (*Set, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -220,18 +173,14 @@ func Load(path string) (*Set, error) {
 		return nil, fmt.Errorf("schedule: %s does not parse: %w", path, err)
 	}
 	for name, sc := range set.Kernels {
-		// A set does not know stage counts; validate the parts it can.
-		if err := sc.Validate(maxStages); err != nil {
+		// A set does not know stage counts; validate the parts it can
+		// (per-pipeline Validate calls check fusion against the real depth).
+		if err := sc.Validate(2); err != nil {
 			return nil, fmt.Errorf("schedule: %s: kernel %s: %w", path, name, err)
 		}
 	}
 	return &set, nil
 }
-
-// maxStages bounds per-kernel stage entries during set-level validation,
-// where the pipeline depth is unknown; per-pipeline Validate calls still
-// enforce the real count.
-const maxStages = 64
 
 // Save writes the set as stable, human-diffable JSON (map keys sort).
 func (s *Set) Save(path string) error {
@@ -246,15 +195,6 @@ func (s *Set) Save(path string) error {
 type GridOpts struct {
 	// Stages is the pipeline depth; fusion candidates only appear for 2+.
 	Stages int
-	// MinWindow is the smallest of the chain's per-gap minimal windows
-	// (each gap's consumer footprint).  Candidates at or below it are
-	// indistinguishable from the minimal-window candidate on every gap
-	// and collapse into it; anything above stays distinct, because a
-	// window between two gaps' minima still changes the larger gap's
-	// ring.
-	MinWindow int
-	// OutW and OutH bound tile candidates to the output extent.
-	OutW, OutH int
 	// MaxWorkers caps the worker sweep (usually GOMAXPROCS).
 	MaxWorkers int
 	// Smoke shrinks the grid to a handful of candidates for CI.
@@ -271,28 +211,20 @@ func Grid(o GridOpts) []*Schedule {
 			workers = append(workers, w)
 		}
 	}
-	tiles := [][2]int{{0, 0}, {64, 8}, {128, 16}, {256, 32}}
-	windows := []int{0, 2, 8}
 	if o.Smoke {
 		workers = workers[:min(2, len(workers))]
-		tiles = tiles[:2]
-		windows = windows[:2]
 	}
 
 	var out []*Schedule
 	seen := map[string]bool{}
 	// Candidates dedupe by effective semantics, not spelling: Workers 0
-	// means GOMAXPROCS (== the explicit MaxWorkers entry), and any window
-	// at or below the minimal footprint means the minimal window — the
-	// tuner verifies and times every candidate, so a semantic duplicate
-	// is pure waste.
+	// means GOMAXPROCS (== the explicit MaxWorkers entry) — the tuner
+	// verifies and times every candidate, so a semantic duplicate is pure
+	// waste.
 	add := func(s *Schedule) {
 		n := *s
 		if n.Workers == 0 {
 			n.Workers = max(o.MaxWorkers, 1)
-		}
-		if n.FusionKind() == SlidingWindow && n.WindowRows <= o.MinWindow {
-			n.WindowRows = 0
 		}
 		key := n.String()
 		if !seen[key] {
@@ -302,29 +234,9 @@ func Grid(o GridOpts) []*Schedule {
 	}
 	add(Default())
 	for _, w := range workers {
-		for _, t := range tiles {
-			tw, th := t[0], t[1]
-			if tw > o.OutW && o.OutW > 0 || th > o.OutH && o.OutH > 0 {
-				continue
-			}
-			st := Stage{TileW: tw, TileH: th}
-			stages := []Stage(nil)
-			if st != (Stage{}) {
-				stages = make([]Stage, max(o.Stages, 1))
-				for i := range stages {
-					stages[i] = st
-				}
-			}
-			add(&Schedule{Workers: w, Stages: stages})
-			if o.Stages >= 2 {
-				for _, win := range windows {
-					w2 := win
-					if w2 != 0 && w2 < o.MinWindow {
-						w2 = o.MinWindow
-					}
-					add(&Schedule{Workers: w, Fusion: SlidingWindow, WindowRows: w2})
-				}
-			}
+		add(&Schedule{Workers: w})
+		if o.Stages >= 2 {
+			add(&Schedule{Workers: w, Fusion: SlidingWindow})
 		}
 	}
 	return out

@@ -1,10 +1,13 @@
 package schedule
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"helium/internal/liftedkernels"
 )
 
 func TestValidate(t *testing.T) {
@@ -17,13 +20,10 @@ func TestValidate(t *testing.T) {
 		{"nil", nil, 1, true},
 		{"default", Default(), 1, true},
 		{"materialize", &Schedule{Fusion: Materialize, Workers: 4}, 1, true},
-		{"sliding", &Schedule{Fusion: SlidingWindow, WindowRows: 3}, 2, true},
+		{"sliding", &Schedule{Fusion: SlidingWindow}, 2, true},
 		{"sliding single-stage", &Schedule{Fusion: SlidingWindow}, 1, false},
 		{"unknown fusion", &Schedule{Fusion: "speculate"}, 2, false},
 		{"negative workers", &Schedule{Workers: -1}, 1, false},
-		{"negative window", &Schedule{WindowRows: -2}, 2, false},
-		{"too many stages", &Schedule{Stages: make([]Stage, 3)}, 2, false},
-		{"negative tile", &Schedule{Stages: []Stage{{TileW: -4}}}, 1, false},
 	}
 	for _, c := range cases {
 		err := c.s.Validate(c.stages)
@@ -33,7 +33,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFusionKindAndStageAt(t *testing.T) {
+func TestFusionKind(t *testing.T) {
 	var nilSched *Schedule
 	if nilSched.FusionKind() != Materialize {
 		t.Errorf("nil schedule fusion = %q, want materialize", nilSched.FusionKind())
@@ -41,18 +41,9 @@ func TestFusionKindAndStageAt(t *testing.T) {
 	if (&Schedule{}).FusionKind() != Materialize {
 		t.Error("empty fusion does not normalize to materialize")
 	}
-	s := &Schedule{Fusion: SlidingWindow, Stages: []Stage{{TileW: 32}}}
+	s := &Schedule{Fusion: SlidingWindow}
 	if s.FusionKind() != SlidingWindow {
 		t.Error("explicit slidingWindow lost")
-	}
-	if got := s.StageAt(0); got.TileW != 32 {
-		t.Errorf("StageAt(0) = %+v", got)
-	}
-	if got := s.StageAt(5); got != (Stage{}) {
-		t.Errorf("StageAt(5) = %+v, want zero", got)
-	}
-	if got := nilSched.StageAt(0); got != (Stage{}) {
-		t.Errorf("nil StageAt = %+v, want zero", got)
 	}
 }
 
@@ -61,10 +52,9 @@ func TestSetRoundTrip(t *testing.T) {
 		Config:     "40x24 seed 1",
 		GoMaxProcs: 1,
 		Kernels: map[string]*Schedule{
-			"blur2p": {Fusion: SlidingWindow, WindowRows: 3, Workers: 2},
-			"boxblur3": {Workers: 1, Stages: []Stage{
-				{TileW: 128, TileH: 16}}},
-			"hist256": {},
+			"blur2p":   {Fusion: SlidingWindow, Workers: 2},
+			"boxblur3": {Workers: 1},
+			"hist256":  {},
 		},
 	}
 	path := filepath.Join(t.TempDir(), "schedules.json")
@@ -82,11 +72,11 @@ func TestSetRoundTrip(t *testing.T) {
 		t.Fatalf("kernel count %d, want %d", len(got.Kernels), len(set.Kernels))
 	}
 	b := got.For("blur2p")
-	if b == nil || b.FusionKind() != SlidingWindow || b.WindowRows != 3 || b.Workers != 2 {
+	if b == nil || b.FusionKind() != SlidingWindow || b.Workers != 2 {
 		t.Fatalf("blur2p schedule did not round-trip: %+v", b)
 	}
-	if st := got.For("boxblur3").StageAt(0); st.TileW != 128 || st.TileH != 16 {
-		t.Fatalf("boxblur3 stage overrides did not round-trip: %+v", st)
+	if bb := got.For("boxblur3"); bb == nil || bb.Workers != 1 || bb.FusionKind() != Materialize {
+		t.Fatalf("boxblur3 schedule did not round-trip: %+v", bb)
 	}
 	if got.For("nosuch") != nil {
 		t.Fatal("For(unknown) must be nil")
@@ -109,8 +99,8 @@ func TestLoadRejectsInvalid(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	full := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 256, OutH: 256, MaxWorkers: 4})
-	if len(full) < 8 {
+	full := Grid(GridOpts{Stages: 2, MaxWorkers: 4})
+	if len(full) < 6 {
 		t.Fatalf("full grid has only %d candidates", len(full))
 	}
 	if full[0].String() != Default().String() {
@@ -128,21 +118,18 @@ func TestGrid(t *testing.T) {
 		seen[s.String()] = true
 		if s.FusionKind() == SlidingWindow {
 			slidingOK = true
-			if s.WindowRows != 0 && s.WindowRows < 3 {
-				t.Errorf("candidate %s window below the minimum", s)
-			}
 		}
 	}
 	if !slidingOK {
 		t.Fatal("multi-stage grid has no slidingWindow candidates")
 	}
 
-	smoke := Grid(GridOpts{Stages: 2, MinWindow: 3, OutW: 64, OutH: 64, MaxWorkers: 1, Smoke: true})
+	smoke := Grid(GridOpts{Stages: 2, MaxWorkers: 4, Smoke: true})
 	if len(smoke) == 0 || len(smoke) >= len(full) {
 		t.Fatalf("smoke grid has %d candidates (full %d)", len(smoke), len(full))
 	}
 
-	single := Grid(GridOpts{Stages: 1, OutW: 64, OutH: 64, MaxWorkers: 1})
+	single := Grid(GridOpts{Stages: 1, MaxWorkers: 1})
 	for _, s := range single {
 		if s.FusionKind() == SlidingWindow {
 			t.Fatalf("single-stage grid offers fusion candidate %s", s)
@@ -170,26 +157,32 @@ func TestMatchesMachine(t *testing.T) {
 
 func TestSpec(t *testing.T) {
 	var nilSched *Schedule
-	if got := nilSched.Spec(); got.Workers != 0 || got.Fusion != string(Materialize) || got.Stages != nil {
+	if got := nilSched.Spec(); got != (liftedkernels.ScheduleSpec{Fusion: string(Materialize)}) {
 		t.Errorf("nil Spec = %+v, want the materializing default", got)
 	}
-	s := &Schedule{Workers: 3, Fusion: SlidingWindow, WindowRows: 5,
-		Stages: []Stage{{TileW: 64, TileH: 8}, {}}}
-	got := s.Spec()
-	if got.Workers != 3 || got.Fusion != string(SlidingWindow) || got.WindowRows != 5 {
+	s := &Schedule{Workers: 3, Fusion: SlidingWindow}
+	if got := s.Spec(); got != (liftedkernels.ScheduleSpec{Workers: 3, Fusion: string(SlidingWindow)}) {
 		t.Errorf("Spec = %+v", got)
-	}
-	if len(got.Stages) != 2 || got.Stages[0].TileW != 64 || got.Stages[0].TileH != 8 || got.Stages[1].TileW != 0 {
-		t.Errorf("Spec stages = %+v", got.Stages)
 	}
 }
 
 func TestLoadRejectsUnknownField(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lane.json")
-	if err := os.WriteFile(path, []byte(`{"kernels":{"k":{"stages":[{"tile_w":8,"lane":16}]}}}`), 0o644); err != nil {
-		t.Fatal(err)
+	// Each set names a retired knob; Load must refuse it by name rather
+	// than run the kernel under a silently different schedule.  Lanes
+	// lived inside the per-stage tile entries, so a set naming one now
+	// fails on the enclosing "stages".
+	cases := []struct{ field, set string }{
+		{"stages", `{"kernels":{"k":{"stages":[{"tile_w":8,"lane":16}]}}}`},
+		{"stages", `{"kernels":{"k":{"stages":[{"tile_w":128,"tile_h":16}]}}}`},
+		{"window_rows", `{"kernels":{"k":{"fusion":"slidingWindow","window_rows":8}}}`},
 	}
-	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "lane") {
-		t.Fatalf("Load = %v, want an error naming the retired lane field", err)
+	for i, c := range cases {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("retired%d.json", i))
+		if err := os.WriteFile(path, []byte(c.set), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Load(%s) = %v, want an error naming the retired %s field", c.set, err, c.field)
+		}
 	}
 }

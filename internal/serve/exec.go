@@ -219,23 +219,14 @@ func (e *entry) runBackend(be backendID, rs *reqScratch, req *request, outW, out
 func (e *entry) evalBackend(be backendID, rs *reqScratch, req *request, outW, outH int) ([]byte, error) {
 	switch be {
 	case beGenerated:
-		if e.reg.opts.EvalWorkers <= 1 && e.gk.Tuned != nil {
-			// The schedule-baked serial driver: the per-request fast path.
-			// Requests parallelize across the worker pool, not inside one
-			// request, so serial execution is the serving default.
-			return e.gk.Tuned(&rs.sc, &rs.img, outW, outH)
-		}
+		// Requests parallelize across the worker pool, not inside one
+		// request, so the embedded schedule runs at the server's
+		// intra-request worker count (serial by default).
 		spec := e.gk.Sched
-		spec.Workers = e.reg.opts.EvalWorkers
-		if spec.Workers <= 0 {
-			spec.Workers = 1
-		}
+		spec.Workers = max(e.reg.opts.EvalWorkers, 1)
 		return e.gk.EvalInto(&rs.sc, &rs.img, outW, outH, spec)
 	case beCompiled:
-		if e.tuned != nil {
-			return e.ck.EvalScheduledAt(rs.src, outW, outH, e.tuned)
-		}
-		return e.ck.EvalAt(rs.src, outW, outH)
+		return e.ck.EvalScheduledAt(rs.src, outW, outH, e.sched)
 	case beInterp:
 		return e.res.EvalIRAt(rs.src, outW, outH)
 	case beVM:

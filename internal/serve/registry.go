@@ -163,10 +163,12 @@ type entry struct {
 	rej *lift.Rejection
 	err error
 
-	res   *lift.Result
-	ck    *lift.CompiledResult
-	gk    *liftedkernels.Kernel
-	tuned *schedule.Schedule
+	res *lift.Result
+	ck  *lift.CompiledResult
+	gk  *liftedkernels.Kernel
+	// sched is the compiled rung's schedule: the tuned set's fusion for
+	// this kernel at the server's intra-request worker count.
+	sched *schedule.Schedule
 
 	// Geometry model: response extents are rational in the requested
 	// config geometry — outW = floor(w*mulW/divW) + offW — with the
@@ -298,9 +300,11 @@ func (e *entry) init() {
 	if gk, ok := liftedkernels.Lookup(e.name); ok {
 		e.gk = gk
 	}
-	e.tuned = e.reg.opts.Schedules.For(e.name)
-
 	cfg := e.reg.opts
+	e.sched = &schedule.Schedule{
+		Fusion:  cfg.Schedules.For(e.name).FusionKind(),
+		Workers: max(cfg.EvalWorkers, 1),
+	}
 	outW0, outH0 := res.EvalDims()
 	// The final stencil's index map fixes the response slope (identity
 	// maps give 1/1 — the classic delta model); pipelines ending in a

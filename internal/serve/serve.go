@@ -29,8 +29,9 @@ type Options struct {
 	LiftWidth, LiftHeight int
 	LiftSeed              uint64
 
-	// Schedules is the tuned schedule set applied to the compiled
-	// fallback backend; nil means heuristic defaults.
+	// Schedules is the tuned schedule set whose fusion strategy the
+	// compiled fallback backend applies (at EvalWorkers workers); nil
+	// means materializing.
 	Schedules *schedule.Set
 
 	// Workers is the shared execution pool size (default GOMAXPROCS).
@@ -62,8 +63,9 @@ type Options struct {
 	// (defaults 3 and 8).
 	TripAfter, ProbeAfter int
 
-	// EvalWorkers is the intra-request parallelism (default 1: requests
-	// parallelize across the pool, not inside one request).
+	// EvalWorkers is the intra-request parallelism of the generated and
+	// compiled backends (default 1: requests parallelize across the pool,
+	// not inside one request).
 	EvalWorkers int
 
 	// SlowBackendDelay is the injected latency of the serve.slow-backend

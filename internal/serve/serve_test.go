@@ -17,6 +17,7 @@ import (
 
 	"helium/internal/faultpoint"
 	"helium/internal/legacy"
+	"helium/internal/schedule"
 )
 
 // corpusNames is the whole legacy corpus, pinned so a test failure names
@@ -429,6 +430,60 @@ func TestRegistryInternsAndSingleflights(t *testing.T) {
 	}
 	if len(reg.byHash) != 1 || len(reg.byName) != 1 {
 		t.Fatalf("registry interned %d hashes / %d names, want 1/1", len(reg.byHash), len(reg.byName))
+	}
+}
+
+// TestCompiledRungSchedule pins the compiled rung's schedule: the tuned
+// set contributes only its fusion strategy, and the worker count is
+// always the server's intra-request EvalWorkers (at least 1) — a set's
+// Workers 0 must not turn one request into GOMAXPROCS goroutines, and a
+// server without a set still honours EvalWorkers > 1.  The rung's output
+// under that schedule must equal the interpreter's.
+func TestCompiledRungSchedule(t *testing.T) {
+	fused := func(workers int) *schedule.Set {
+		return &schedule.Set{Kernels: map[string]*schedule.Schedule{
+			"blur2p": {Fusion: schedule.SlidingWindow, Workers: workers},
+		}}
+	}
+	cases := []struct {
+		name        string
+		set         *schedule.Set
+		evalWorkers int
+		want        schedule.Schedule
+	}{
+		{"nil set, default workers", nil, 0, schedule.Schedule{Fusion: schedule.Materialize, Workers: 1}},
+		{"nil set, 3 workers", nil, 3, schedule.Schedule{Fusion: schedule.Materialize, Workers: 3}},
+		{"fused set, workers 0", fused(0), 0, schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 1}},
+		{"fused set, workers 4", fused(4), 2, schedule.Schedule{Fusion: schedule.SlidingWindow, Workers: 2}},
+	}
+	for _, tc := range cases {
+		opts := Options{Schedules: tc.set, EvalWorkers: tc.evalWorkers}.withDefaults()
+		reg := newRegistry(opts, newMetrics(opts.Metrics))
+		e, err := reg.resolve("blur2p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ensure()
+		if e.rej != nil || e.err != nil {
+			t.Fatalf("%s: blur2p poisoned: rej=%v err=%v", tc.name, e.rej, e.err)
+		}
+		if e.sched == nil || *e.sched != tc.want {
+			t.Errorf("%s: compiled rung schedule = %s, want %s", tc.name, e.sched, &tc.want)
+		}
+		rs := &reqScratch{}
+		req := &request{w: 37, h: 29, seed: 9}
+		if err := e.buildInput(rs, req); err != nil {
+			t.Fatal(err)
+		}
+		outW, outH := e.outDims(req.w, req.h)
+		want, err := e.evalBackend(beInterp, rs, req, outW, outH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.evalBackend(beCompiled, rs, req, outW, outH)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: compiled rung = %d bytes, %v; want the interpreter's %d bytes", tc.name, len(got), err, len(want))
+		}
 	}
 }
 
