@@ -61,7 +61,11 @@ func TestSmokeCorpus(t *testing.T) {
 	}
 	counts := map[Outcome]int{}
 	shapes := map[Shape]int{}
-	for _, rep := range runCorpus(seeds) {
+	reports := runCorpus(seeds)
+	if n == smokeGoldenN {
+		checkSmokeGolden(t, reports)
+	}
+	for _, rep := range reports {
 		counts[rep.Outcome]++
 		if !rep.Ok() {
 			t.Errorf("%s", rep)
@@ -81,6 +85,47 @@ func TestSmokeCorpus(t *testing.T) {
 		counts[OutcomeVerified], counts[OutcomeRejected], shapes)
 	if counts[OutcomeVerified] == 0 || counts[OutcomeRejected] == 0 {
 		t.Fatalf("degenerate corpus: %v", counts)
+	}
+}
+
+// smokeGolden pins Report.String() of the default-size smoke corpus, one
+// line per seed: outcomes, rejection phases and diagnostic text alike.
+const (
+	smokeGolden  = "testdata/smoke_reports.golden"
+	smokeGoldenN = 200
+)
+
+// checkSmokeGolden compares the corpus reports with the pinned golden.  On
+// a mismatch the full rendering is written to a temporary file whose path
+// the failure names, so an intended change is reviewed as a diff and
+// copied over the golden by hand.
+func checkSmokeGolden(t *testing.T, reports []Report) {
+	t.Helper()
+	got := make([]string, len(reports))
+	for i, rep := range reports {
+		got[i] = rep.String()
+	}
+	raw, err := os.ReadFile(smokeGolden)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Errorf("rendered %d reports, golden has %d", len(got), len(want))
+	}
+	bad := 0
+	for i := 0; i < min(len(got), len(want)) && bad < 5; i++ {
+		if got[i] != want[i] {
+			t.Errorf("seed %d report drifted:\n got:  %s\n want: %s", i+1, got[i], want[i])
+			bad++
+		}
+	}
+	if t.Failed() {
+		if f, err := os.CreateTemp("", "smoke_reports-*.golden"); err == nil {
+			f.WriteString(strings.Join(got, "\n") + "\n")
+			f.Close()
+			t.Logf("full rendering written to %s", f.Name())
+		}
 	}
 }
 

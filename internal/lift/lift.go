@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
+	"weak"
 
 	"helium/internal/faultpoint"
 	"helium/internal/image"
@@ -101,31 +103,36 @@ func (r *Result) PhaseDur(p Phase) time.Duration {
 // (the paper's test that unrolled, peeled, tiled and branch-diverged
 // copies really collapsed to one stencil).
 func Lift(name string, t Target) (*Result, error) {
+	tr := takeSpareTrace()
+
 	var spans []PhaseTime
 	t0 := time.Now()
-	loc, err := Localize(t)
+	loc, on, err := localize(t, tr)
 	spans = addSpan(spans, PhaseLocalize, time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
 
-	m := vm.NewMachine(t.Prog)
-	t.Setup(m, true)
 	t0 = time.Now()
-	tres, err := m.RunTrace(vm.TraceOptions{
-		FilterEntry:   loc.FilterEntry,
-		MaxSteps:      t.MaxSteps,
-		MaxTraceInsts: t.MaxTraceInsts,
-	})
+	tres, err := traceFilter(t, loc.FilterEntry, on, tr)
+	if err == nil {
+		tr.BuildWriteIndex()
+		// Only a complete capture, trimmed by the index build, is kept.
+		defer keepSpareTrace(tr)
+	}
 	spans = addSpan(spans, PhaseTrace, time.Since(t0))
 	if err != nil {
-		return nil, reject(PhaseTrace, fmt.Errorf("lift: trace run: %w", err))
+		return nil, err
 	}
-	if tres.FilterCalls == 0 {
-		return nil, reject(PhaseTrace, fmt.Errorf("lift: localized filter %#x was never entered during tracing", loc.FilterEntry))
-	}
+	return analyze(name, t, loc, tr, tres, spans)
+}
 
-	t0 = time.Now()
+// analyze runs the pipeline's analysis half over the localized filter's
+// trace: stage discovery, buffer reconstruction, extraction,
+// canonicalization and unification.  spans holds the emulation phases'
+// times so far.
+func analyze(name string, t Target, loc *Localization, tr *trace.InstTrace, tres *vm.StreamResult, spans []PhaseTime) (*Result, error) {
+	t0 := time.Now()
 	in0, err := locateInput(t.Known, tres.Dump)
 	spans = addSpan(spans, PhaseBuffers, time.Since(t0))
 	if err != nil {
@@ -160,7 +167,7 @@ func Lift(name string, t Target) (*Result, error) {
 				return nil, reject(PhaseStages, fmt.Errorf("lift: filter builds two accumulator tables (at %#x and %#x); only one reduction stage is liftable", tbl.Base, reg.addrs[0]))
 			}
 			t0 = time.Now()
-			red, out, lastW, err := recognizeReduction(stageName, tres.Trace, t.Prog, curIn, reg, t.Known)
+			red, out, lastW, err := recognizeReduction(stageName, tr, t.Prog, curIn, reg, t.Known)
 			spans = addSpan(spans, PhaseReduction, time.Since(t0))
 			if err != nil {
 				return nil, reject(PhaseReduction, err)
@@ -183,7 +190,7 @@ func Lift(name string, t Target) (*Result, error) {
 		}
 		bufs := &Buffers{In: curIn, Out: *out, Tbl: tbl}
 		t0 = time.Now()
-		trees, err := Extract(tres.Trace, t.Prog, bufs)
+		trees, err := Extract(tr, t.Prog, bufs)
 		spans = addSpan(spans, PhaseExtract, time.Since(t0))
 		if err != nil {
 			return nil, reject(PhaseExtract, err)
@@ -195,7 +202,7 @@ func Lift(name string, t Target) (*Result, error) {
 			// The per-output trees differing by a translation is the
 			// signature of a resize loop: retry the stage as an affine-map
 			// stencil before giving up.
-			ak, aerr := liftAffine(stageName, tres.Trace, t.Prog, bufs)
+			ak, aerr := liftAffine(stageName, tr, t.Prog, bufs)
 			if aerr != nil {
 				return nil, reject(PhaseUnify, fmt.Errorf("%w (affine retry: %v)", err, aerr))
 			}
@@ -222,11 +229,79 @@ func Lift(name string, t Target) (*Result, error) {
 		Kernel:     last.Kernel,
 		Reduction:  last.Red,
 		Dump:       tres.Dump,
-		TraceInsts: tres.Trace.Len(),
+		TraceInsts: tr.Len(),
 		TraceSteps: tres.Steps,
 		Samples:    samples,
 		PhaseTimes: spans,
 	}, nil
+}
+
+// spare weakly holds the instruction trace of the last finished lift for
+// the next one to refill: a trace's record, effect and ref chunks and its
+// write index storage are the bulk of a lift's allocations, and no Result
+// holds on to them.  The hold is weak so that an idle process keeps no
+// trace past the next garbage collection: a trace that stays reachable
+// between lifts (a strong spare, or a sync.Pool's one per P plus a
+// victim generation) stays resident after a set-up that lifts, and
+// raised the peak RSS of the workloads that serve or evaluate afterwards
+// by about 50 MB.
+var spare struct {
+	mu sync.Mutex
+	tr weak.Pointer[trace.InstTrace]
+}
+
+// takeSpareTrace returns the spare trace, reset, or a new one.
+func takeSpareTrace() *trace.InstTrace {
+	spare.mu.Lock()
+	tr := spare.tr.Value()
+	spare.tr = weak.Pointer[trace.InstTrace]{}
+	spare.mu.Unlock()
+	if tr == nil {
+		return new(trace.InstTrace)
+	}
+	tr.Reset()
+	return tr
+}
+
+// keepSpareTrace makes tr the spare trace.
+func keepSpareTrace(tr *trace.InstTrace) {
+	spare.mu.Lock()
+	spare.tr = weak.Make(tr)
+	spare.mu.Unlock()
+}
+
+// traceFilter returns the filter's trace run.  The instrumented filter-on
+// run that localized the filter already traced every extent starting at a
+// difference call target into tr.  When each of those extents started at
+// the chosen filter, that capture is exactly the filter's trace.
+// Otherwise (another difference function was called at top level, or one
+// that calls the filter was) tr is refilled by tracing the filter alone.
+func traceFilter(t Target, entry uint32, on *vm.CoverageResult, tr *trace.InstTrace) (*vm.StreamResult, error) {
+	onlyFilter := true
+	for e := range on.Extents {
+		onlyFilter = onlyFilter && e == entry
+	}
+	var sr *vm.StreamResult
+	var err error
+	if onlyFilter {
+		sr, err = &vm.StreamResult{Dump: on.Dump, FilterCalls: on.Extents[entry], Insts: on.Insts, Steps: on.Steps}, on.TraceErr
+	} else {
+		tr.Reset()
+		m := vm.NewMachine(t.Prog)
+		t.Setup(m, true)
+		sr, err = m.RunTraceStream(vm.TraceOptions{
+			FilterEntry:   entry,
+			MaxSteps:      t.MaxSteps,
+			MaxTraceInsts: t.MaxTraceInsts,
+		}, tr)
+	}
+	if err != nil {
+		return nil, reject(PhaseTrace, fmt.Errorf("lift: trace run: %w", err))
+	}
+	if sr.FilterCalls == 0 {
+		return nil, reject(PhaseTrace, fmt.Errorf("lift: localized filter %#x was never entered during tracing", entry))
+	}
+	return sr, nil
 }
 
 // guardVal is one condition's observed outcome within a tree group.

@@ -25,9 +25,9 @@ type Target struct {
 	Known KnownInput
 
 	// MaxSteps bounds every emulation run the pipeline performs (coverage
-	// screening, profiling, tracing); 0 means the VM default.  Fuzzing
-	// harnesses set a tight budget so a hostile binary can slow the
-	// pipeline down but never hang it.
+	// screening, the instrumented filter-on run, a re-trace); 0 means the
+	// VM default.  Fuzzing harnesses set a tight budget so a hostile
+	// binary can slow the pipeline down but never hang it.
 	MaxSteps uint64
 	// MaxTraceInsts bounds the captured instruction trace (0 = unlimited).
 	MaxTraceInsts int
@@ -61,7 +61,7 @@ func (k KnownInput) Row(y int) []byte {
 
 // Localization is the outcome of two-phase code localization: the filter
 // function entry, the coverage difference that isolated it, and the memory
-// trace of the profiling run restricted to the difference.
+// trace of the filter-on run restricted to the difference.
 type Localization struct {
 	// FilterEntry is the discovered entry address of the filter function.
 	FilterEntry uint32
@@ -71,60 +71,67 @@ type Localization struct {
 	// Diff is the set of block leaders covered by the on-run but not the
 	// off-run.
 	Diff map[uint32]bool
-	// OnBlocks and OffBlocks count covered blocks in the two screening
-	// runs.
+	// OnBlocks and OffBlocks count covered blocks in the filter-on and
+	// filter-off runs.
 	OnBlocks, OffBlocks int
 	// MemTrace is the memory access trace of the difference blocks,
-	// collected by the profiling run.
+	// collected by the filter-on run.
 	MemTrace []trace.MemAccess
 }
 
 // Localize performs two-phase code localization (paper section 3.1): a
-// coverage screening run with the filter applied, one without, a diff to
-// isolate filter-only code, and a profiling run instrumenting only the
-// difference to collect its memory accesses and dynamic call targets.  The
-// filter function is the outermost difference call target: a difference
-// target whose call sites all lie inside another difference function is an
-// internal helper (for example a tile worker under a tile driver).
+// coverage screening run without the filter, then one instrumented run
+// with it.  Every block the second run covers outside the first run's
+// blocks is a difference block, so the same run that screens the filter-on
+// coverage also collects the difference's memory accesses and dynamic call
+// targets.  The filter function is the outermost difference call target:
+// a difference target whose call sites all lie inside another difference
+// function is an internal helper (for example a tile worker under a tile
+// driver).
 func Localize(t Target) (*Localization, error) {
+	loc, _, err := localize(t, nil)
+	return loc, err
+}
+
+// localize is Localize with the instrumented run also tracing into tr
+// (nil: no tracing).  It returns that run's result, whose extents, dump
+// and trace error Lift reads.
+func localize(t Target, tr *trace.InstTrace) (*Localization, *vm.CoverageResult, error) {
 	m := vm.NewMachine(t.Prog)
-
-	t.Setup(m, true)
-	on, err := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
-	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
-	}
 	t.Setup(m, false)
-	off, err := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
-	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", err))
-	}
-
-	diff := make(map[uint32]bool)
-	for b := range on.Blocks {
-		if _, ok := off.Blocks[b]; !ok {
-			diff[b] = true
+	off, offErr := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps})
+	if offErr != nil {
+		// The filter-on run's failure takes precedence: report it when
+		// that run fails too.
+		t.Setup(m, true)
+		if _, err := m.RunCoverage(vm.CoverageOptions{MaxSteps: t.MaxSteps}); err != nil {
+			return nil, nil, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
 		}
-	}
-	if len(diff) == 0 {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: coverage diff is empty: the filter flag changed nothing"))
+		return nil, nil, reject(PhaseLocalize, fmt.Errorf("lift: off-run coverage: %w", offErr))
 	}
 
 	t.Setup(m, true)
-	prof, err := m.RunCoverage(vm.CoverageOptions{
-		MaxSteps:         t.MaxSteps,
-		InstrumentBlocks: diff,
-		TraceMemory:      true,
-	})
+	opts := vm.CoverageOptions{MaxSteps: t.MaxSteps, Baseline: off.Blocks, MaxTraceInsts: t.MaxTraceInsts}
+	if tr != nil {
+		opts.Sink = tr
+	}
+	on, err := m.RunCoverage(opts)
 	if err != nil {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: profiling run: %w", err))
+		return nil, nil, reject(PhaseLocalize, fmt.Errorf("lift: on-run coverage: %w", err))
+	}
+	if len(on.Diff) == 0 {
+		return nil, nil, reject(PhaseLocalize, fmt.Errorf("lift: coverage diff is empty: the filter flag changed nothing"))
+	}
+	diff := make(map[uint32]bool, len(on.Diff))
+	for _, b := range on.Diff {
+		diff[b] = true
 	}
 
-	candidates := diffCallTargets(prof.CallTargets, diff)
+	candidates := diffCallTargets(on.CallTargets, diff)
 	if len(candidates) == 0 {
-		return nil, reject(PhaseLocalize, fmt.Errorf("lift: no call target found inside the coverage diff"))
+		return nil, nil, reject(PhaseLocalize, fmt.Errorf("lift: no call target found inside the coverage diff"))
 	}
-	ordered := orderOutermost(candidates, prof.CallTargets)
+	ordered := orderOutermost(candidates, on.CallTargets)
 
 	return &Localization{
 		FilterEntry: ordered[0],
@@ -132,8 +139,8 @@ func Localize(t Target) (*Localization, error) {
 		Diff:        diff,
 		OnBlocks:    len(on.Blocks),
 		OffBlocks:   len(off.Blocks),
-		MemTrace:    prof.MemTrace,
-	}, nil
+		MemTrace:    on.MemTrace,
+	}, on, nil
 }
 
 // diffCallTargets returns the dynamic call targets that are themselves

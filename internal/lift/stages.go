@@ -1,7 +1,7 @@
 // Multi-stage lifting.  A filter that pipelines through intermediate
 // buffers (a two-pass separable blur writing a temporary plane) or
 // scatters into an accumulator table (a histogram) is discovered here: the
-// profiling run's write addresses cluster into regions, the regions order
+// filter-on run's difference writes cluster into regions, the regions order
 // into stages by first-write time, and each stage is lifted on its own
 // with the previous stage's output region acting as its input buffer.
 // Slicing stops at stage boundaries (extract.go resolves reads of the
@@ -55,7 +55,7 @@ type writeRegion struct {
 	firstAt int
 }
 
-// stageRegions clusters the profiling run's writes into candidate stage
+// stageRegions clusters the filter-on run's difference writes into stage
 // output regions, ordered by first write.  Stack traffic is excluded by
 // address: everything else the filter writes is a stage output.
 func stageRegions(memTrace []trace.MemAccess) ([]writeRegion, error) {

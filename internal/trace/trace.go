@@ -226,17 +226,19 @@ func (f SinkFunc) Emit(di DynInst) error { return f(di) }
 // needed by the backward analysis.
 type InstTrace struct {
 	// insts holds the records in chunks of instChunk: a full chunk is
-	// kept and a fresh one started, so growing the trace never copies a
-	// record.  The records' Effects, Srcs and AddrRefs point into the
-	// current chunks of two more slabs, effects and refs, which grow the
-	// same way.
-	insts   [][]DynInst
+	// kept and the next one started, so growing the trace never copies a
+	// record.  The records' Effects, Srcs and AddrRefs point into two more
+	// slabs, effects and refs, which grow the same way.  Reset rewinds all
+	// three, so a reused trace refills the chunks it already has.
+	insts   slab[DynInst]
 	n       int
-	effects []Effect
-	refs    []Ref
+	effects slab[Effect]
+	refs    slab[Ref]
 
 	// writes is the write index, nil until built and after every Emit.
+	// widx holds its storage, kept across rebuilds and Reset.
 	writes *writeIndex
+	widx   writeIndex
 }
 
 // Slab chunk sizes, in elements.  A record with more effects or refs than
@@ -248,16 +250,72 @@ const (
 	refChunk    = 4096
 )
 
+// slab hands out runs of elements from a list of chunks, never moving an
+// element once handed out.
+type slab[T any] struct {
+	chunks [][]T
+	cur    int // chunks[cur-1] is being filled; 0 before the first take
+}
+
+// take returns n consecutive elements of the current chunk, moving on to
+// the next chunk (kept from before a reset, or fresh with room for at
+// least size elements) when the current one is full.  The elements may
+// hold values from before a reset; the caller overwrites them.
+func (s *slab[T]) take(n, size int) []T {
+	if s.cur > 0 {
+		c := s.chunks[s.cur-1]
+		if l := len(c); cap(c)-l >= n {
+			s.chunks[s.cur-1] = c[:l+n]
+			return c[l : l+n : l+n]
+		}
+	}
+	for s.cur < len(s.chunks) {
+		c := s.chunks[s.cur][:0]
+		s.chunks[s.cur] = c
+		s.cur++
+		if cap(c) >= n {
+			s.chunks[s.cur-1] = c[:n]
+			return c[:n:n]
+		}
+	}
+	c := make([]T, n, max(size, n))
+	s.chunks = append(s.chunks, c)
+	s.cur++
+	return c[:n:n]
+}
+
+// reset rewinds the slab to its first chunk, keeping every chunk.
+func (s *slab[T]) reset() { s.cur = 0 }
+
+// trim drops the chunks past the current one, which the content since
+// the last reset did not need.
+func (s *slab[T]) trim() {
+	clear(s.chunks[s.cur:])
+	s.chunks = s.chunks[:s.cur]
+}
+
 // Len returns the number of records in the trace.
 func (t *InstTrace) Len() int { return t.n }
 
 // At returns the record at trace position i (0 <= i < Len()).  Records
-// stay where they are as the trace grows, so the pointer remains valid.
+// stay where they are as the trace grows, so the pointer remains valid
+// until the next Reset.
 func (t *InstTrace) At(i int) *DynInst {
 	if uint(i) >= uint(t.n) {
 		panic(fmt.Sprintf("trace: record %d out of range [0,%d)", i, t.n))
 	}
-	return &t.insts[i>>instShift][i&(instChunk-1)]
+	return &t.insts.chunks[i>>instShift][i&(instChunk-1)]
+}
+
+// Reset empties the trace for another capture, keeping its record,
+// effect and ref chunks and its write index storage.  Records, slices and
+// pointers handed out before the Reset become invalid.
+func (t *InstTrace) Reset() {
+	t.insts.reset()
+	t.effects.reset()
+	t.refs.reset()
+	t.n = 0
+	t.writes = nil
 }
 
 // Emit appends a copy of the record, making InstTrace the batch-collecting
@@ -268,11 +326,7 @@ func (t *InstTrace) At(i int) *DynInst {
 func (t *InstTrace) Emit(di DynInst) error {
 	di.Effects = t.copyEffects(di.Effects)
 	di.AddrRefs = t.copyRefs(di.AddrRefs)
-	if t.n&(instChunk-1) == 0 {
-		t.insts = append(t.insts, make([]DynInst, 0, instChunk))
-	}
-	last := &t.insts[len(t.insts)-1]
-	*last = append(*last, di)
+	t.insts.take(1, instChunk)[0] = di
 	t.n++
 	t.writes = nil
 	return nil
@@ -283,21 +337,17 @@ func (t *InstTrace) copyEffects(src []Effect) []Effect {
 	if len(src) == 0 {
 		return src[:0:0]
 	}
-	if cap(t.effects)-len(t.effects) < len(src) {
-		t.effects = make([]Effect, 0, max(effectChunk, len(src)))
-	}
-	start := len(t.effects)
+	dst := t.effects.take(len(src), effectChunk)
 	for i, ef := range src {
 		if i > 0 && sameSlice(ef.Srcs, src[i-1].Srcs) {
 			// Effects sharing one operand list keep sharing it.
-			ef.Srcs = t.effects[len(t.effects)-1].Srcs
+			ef.Srcs = dst[i-1].Srcs
 		} else {
 			ef.Srcs = t.copyRefs(ef.Srcs)
 		}
-		t.effects = append(t.effects, ef)
+		dst[i] = ef
 	}
-	end := len(t.effects)
-	return t.effects[start:end:end]
+	return dst
 }
 
 // sameSlice reports whether a and b are the same non-empty slice.
@@ -310,13 +360,9 @@ func (t *InstTrace) copyRefs(src []Ref) []Ref {
 	if len(src) == 0 {
 		return src[:0:0]
 	}
-	if cap(t.refs)-len(t.refs) < len(src) {
-		t.refs = make([]Ref, 0, max(refChunk, len(src)))
-	}
-	start := len(t.refs)
-	t.refs = append(t.refs, src...)
-	end := len(t.refs)
-	return t.refs[start:end:end]
+	dst := t.refs.take(len(src), refChunk)
+	copy(dst, src)
+	return dst
 }
 
 // writeIndex lists, for every written byte of the unified address space,
@@ -329,10 +375,21 @@ func (t *InstTrace) copyRefs(src []Ref) []Ref {
 // of a register or store always written together) shares its row, which
 // lets LastWriteBefore search a multi-byte range once.
 type writeIndex struct {
-	mem  map[uint64]int32
-	rows []span
-	seqs []int32
+	// pages maps a memory page number to its bytes' slots plus one (zero:
+	// never written); nmem counts the memory slots numbered so far.
+	pages map[uint64]*slotPage
+	nmem  int32
+	rows  []span
+	seqs  []int32
+
+	// spare holds cleared pages for the next build.
+	spare []*slotPage
 }
+
+// slotPage holds the slots (plus one) of one memory page's bytes.
+type slotPage [1 << slotPageShift]int32
+
+const slotPageShift = 12
 
 // span is a [lo, hi) range of writeIndex.seqs.
 type span struct{ lo, hi int32 }
@@ -341,35 +398,61 @@ type span struct{ lo, hi int32 }
 // so RegAddr stays below RegSpaceBase + 256*8 and flags sit at the end.
 const regSlots = 256*8 + 8
 
-// slot returns the slot of a byte address, numbering unseen memory bytes
-// when add is set (-1 when the byte is unseen and add is clear).
-func (w *writeIndex) slot(a uint64, add bool) int32 {
+// slot returns the slot of a byte address, or -1 when the byte was never
+// written.
+func (w *writeIndex) slot(a uint64) int32 {
 	if a-RegSpaceBase < regSlots {
 		return int32(a - RegSpaceBase)
 	}
-	s, ok := w.mem[a]
-	if !ok {
-		if !add {
-			return -1
-		}
-		s = int32(regSlots + len(w.mem))
-		w.mem[a] = s
+	if p := w.pages[a>>slotPageShift]; p != nil {
+		return p[a&(1<<slotPageShift-1)] - 1
 	}
-	return s
+	return -1
 }
 
-// forEachWrite calls fn for every byte every effect of the trace writes,
-// in trace order.
-func (t *InstTrace) forEachWrite(fn func(addr uint64, seq int)) {
-	for i := 0; i < t.n; i++ {
-		di := t.At(i)
-		for j := range di.Effects {
-			d := &di.Effects[j].Dst
-			if d.Space == SpaceImm || d.Space == SpaceNone {
-				continue
+// number returns the slot of a written byte address, numbering memory
+// bytes on first sight.  last caches the most recent page.
+func (w *writeIndex) number(a uint64, last *slotCursor) int32 {
+	if a-RegSpaceBase < regSlots {
+		return int32(a - RegSpaceBase)
+	}
+	pn := a >> slotPageShift
+	if last.page == nil || last.pn != pn {
+		p := w.pages[pn]
+		if p == nil {
+			if n := len(w.spare); n > 0 {
+				p, w.spare = w.spare[n-1], w.spare[:n-1]
+			} else {
+				p = new(slotPage)
 			}
-			for b := uint64(0); b < uint64(d.Width); b++ {
-				fn(d.Addr+b, di.Seq)
+			w.pages[pn] = p
+		}
+		last.pn, last.page = pn, p
+	}
+	s := &last.page[a&(1<<slotPageShift-1)]
+	if *s == 0 {
+		w.nmem++
+		*s = regSlots + w.nmem
+	}
+	return *s - 1
+}
+
+// slotCursor caches the page number lookup of writeIndex.number.
+type slotCursor struct {
+	pn   uint64
+	page *slotPage
+}
+
+// forEachWrite calls fn for every effect of the trace that writes a
+// location, in trace order.
+func (t *InstTrace) forEachWrite(fn func(d *Ref, seq int32)) {
+	for _, chunk := range t.insts.chunks[:t.insts.cur] {
+		for i := range chunk {
+			di := &chunk[i]
+			for j := range di.Effects {
+				if d := &di.Effects[j].Dst; d.Space != SpaceImm && d.Space != SpaceNone {
+					fn(d, int32(di.Seq))
+				}
 			}
 		}
 	}
@@ -377,29 +460,48 @@ func (t *InstTrace) forEachWrite(fn func(addr uint64, seq int)) {
 
 // BuildWriteIndex constructs the per-byte write index used by
 // LastWriteBefore.  It must be called once after the trace is complete.
+// It reuses the storage of the trace's previous index, and drops the
+// chunks kept from before a Reset that the complete trace did not need.
 func (t *InstTrace) BuildWriteIndex() {
-	w := &writeIndex{mem: make(map[uint64]int32)}
-	// Count the writes per slot, lay the rows out by prefix sums, then
-	// fill them in trace order.
-	counts := make([]int32, regSlots)
-	t.forEachWrite(func(a uint64, _ int) {
-		s := w.slot(a, true)
-		if int(s) >= len(counts) {
-			counts = append(counts, make([]int32, int(s)+1-len(counts))...)
-		}
-		counts[s]++
-	})
-	w.rows = make([]span, len(counts))
-	total := int32(0)
-	for s, n := range counts {
-		w.rows[s] = span{total, total}
-		total += n
+	t.insts.trim()
+	t.effects.trim()
+	t.refs.trim()
+	w := &t.widx
+	if w.pages == nil {
+		w.pages = make(map[uint64]*slotPage)
 	}
-	w.seqs = make([]int32, total)
-	t.forEachWrite(func(a uint64, seq int) {
-		r := &w.rows[w.slot(a, false)]
-		w.seqs[r.hi] = int32(seq)
-		r.hi++
+	for pn, p := range w.pages {
+		clear(p[:])
+		w.spare = append(w.spare, p)
+		delete(w.pages, pn)
+	}
+	w.nmem = 0
+	// Count the writes per slot in the rows' hi fields, lay the rows out
+	// by prefix sums, then fill them in trace order.
+	w.rows = resized(w.rows, regSlots)
+	clear(w.rows)
+	var cur slotCursor
+	t.forEachWrite(func(d *Ref, _ int32) {
+		for b := uint64(0); b < uint64(d.Width); b++ {
+			s := w.number(d.Addr+b, &cur)
+			if int(s) == len(w.rows) {
+				w.rows = append(w.rows, span{})
+			}
+			w.rows[s].hi++
+		}
+	})
+	total := int32(0)
+	for s, r := range w.rows {
+		w.rows[s] = span{total, total}
+		total += r.hi
+	}
+	w.seqs = resized(w.seqs, int(total))
+	t.forEachWrite(func(d *Ref, seq int32) {
+		for b := uint64(0); b < uint64(d.Width); b++ {
+			r := &w.rows[w.number(d.Addr+b, &cur)]
+			w.seqs[r.hi] = seq
+			r.hi++
+		}
 	})
 	for s := 1; s < len(w.rows); s++ {
 		if prev, cur := w.rows[s-1], w.rows[s]; slices.Equal(w.seqs[prev.lo:prev.hi], w.seqs[cur.lo:cur.hi]) {
@@ -407,6 +509,15 @@ func (t *InstTrace) BuildWriteIndex() {
 		}
 	}
 	t.writes = w
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough.  The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EnsureWriteIndex builds the write index only if it has not been built
@@ -422,7 +533,7 @@ func (t *InstTrace) EnsureWriteIndex() {
 // row returns the range of seqs listing the writers of one byte (empty
 // when none wrote it).
 func (w *writeIndex) row(a uint64) span {
-	s := w.slot(a, false)
+	s := w.slot(a)
 	if s < 0 || int(s) >= len(w.rows) {
 		return span{}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"helium/internal/isa"
+	"helium/internal/trace"
 )
 
 // fuzzEntry is where fuzzed programs are laid out; the value itself is
@@ -85,6 +86,12 @@ func FuzzVM(f *testing.F) {
 
 		m.Reset()
 		_, _ = m.RunCoverage(CoverageOptions{MaxSteps: budget})
+
+		// An empty baseline makes every block a difference block, so the
+		// instrumented run profiles everything and traces from every call
+		// target.
+		m.Reset()
+		_, _ = m.RunCoverage(CoverageOptions{MaxSteps: budget, Baseline: []uint32{}, Sink: &trace.InstTrace{}, MaxTraceInsts: budget})
 
 		m.Reset()
 		_, _ = m.RunTrace(TraceOptions{MaxSteps: budget, FilterEntry: p.Entry, MaxTraceInsts: budget})
